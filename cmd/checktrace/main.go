@@ -3,9 +3,10 @@
 // It decodes every line as a telemetry.SpanRecord and checks two layers of
 // invariants:
 //
-//   - per-record: every span has a name; "job" spans carry technique, spec,
-//     and a positive duration; incremental counters are non-negative.
-//   - hierarchy (when span IDs are present): span IDs are unique, every
+//   - per-record: every span has a name, a span ID and a trace ID; "job"
+//     spans carry technique, spec, and a positive duration; incremental
+//     counters are non-negative.
+//   - hierarchy: span IDs are unique, every
 //     non-root span's parent exists in the same trace, parent links are
 //     acyclic, and child intervals nest inside their parent's (with a small
 //     slack for clock reads on either side of the span boundary).
@@ -54,7 +55,7 @@ type traceStats struct {
 	incQueries, incFallbacks, incCarried int64
 	techniques                           map[string]int64
 	kinds                                map[string]int64
-	traces                               map[string]bool // distinct trace IDs (empty ID excluded)
+	traces                               map[string]bool // distinct trace IDs
 }
 
 func run(args []string) error {
@@ -97,13 +98,11 @@ func run(args []string) error {
 	for _, k := range names {
 		fmt.Printf("  kind %-22s %d\n", k, st.kinds[k])
 	}
-	if len(depths) > 0 {
-		fmt.Printf("  depth histogram:")
-		for d := 0; d < len(depths); d++ {
-			fmt.Printf(" %d:%d", d, depths[d])
-		}
-		fmt.Println()
+	fmt.Printf("  depth histogram:")
+	for d := 0; d < len(depths); d++ {
+		fmt.Printf(" %d:%d", d, depths[d])
 	}
+	fmt.Println()
 	return nil
 }
 
@@ -131,9 +130,10 @@ func readFile(path string, st *traceStats) error {
 		if sr.Name == "" {
 			return fmt.Errorf("%s:%d: span missing name: %s", path, line, raw)
 		}
-		// Only job spans (and legacy flat traces, whose every record is a
-		// job) carry the per-job fields.
-		if sr.Name == "job" || sr.SpanID == "" {
+		if sr.SpanID == "" || sr.TraceID == "" {
+			return fmt.Errorf("%s:%d: span missing span_id/trace_id: %s", path, line, raw)
+		}
+		if sr.Name == "job" {
 			if sr.Technique == "" || sr.Spec == "" {
 				return fmt.Errorf("%s:%d: job span missing technique/spec: %s", path, line, raw)
 			}
@@ -150,35 +150,24 @@ func readFile(path string, st *traceStats) error {
 		st.incFallbacks += sr.IncFallbacks
 		st.incCarried += sr.IncCarriedLearnts
 		st.kinds[sr.Name]++
-		if sr.TraceID != "" {
-			st.traces[sr.TraceID] = true
-		}
+		st.traces[sr.TraceID] = true
 		st.recs = append(st.recs, sr)
 	}
 	return sc.Err()
 }
 
 // checkHierarchy validates parent existence, acyclicity, and interval
-// nesting for all spans that carry IDs. It returns the depth histogram
-// (depths[d] = number of spans at depth d; roots are depth 0), or nil when
-// the trace is a legacy flat one.
+// nesting. It returns the depth histogram (depths[d] = number of spans at
+// depth d; roots are depth 0).
 func checkHierarchy(recs []telemetry.SpanRecord) ([]int64, error) {
 	byID := map[string]*telemetry.SpanRecord{}
-	n := 0
 	for i := range recs {
 		sr := &recs[i]
-		if sr.SpanID == "" {
-			continue
-		}
 		key := sr.TraceID + "/" + sr.SpanID
 		if _, dup := byID[key]; dup {
 			return nil, fmt.Errorf("duplicate span ID %s in trace %s", sr.SpanID, sr.TraceID)
 		}
 		byID[key] = sr
-		n++
-	}
-	if n == 0 {
-		return nil, nil // legacy flat trace: nothing to validate
 	}
 
 	depth := map[string]int{}

@@ -29,12 +29,18 @@ func TestValidHierarchy(t *testing.T) {
 	}
 }
 
-func TestLegacyFlatTrace(t *testing.T) {
-	// No span IDs at all: every record is a job, hierarchy checks skipped.
-	path := writeTrace(t,
+func TestSpanlessRecordRejected(t *testing.T) {
+	// A flat job record without span or trace IDs is rejected at its line.
+	path := writeTrace(t, rootLine,
 		`{"name":"job","technique":"ATR","spec":"s","start_unix_ns":1,"duration_ns":5,"rep":1}`)
-	if err := run([]string{path}); err != nil {
-		t.Fatalf("legacy trace rejected: %v", err)
+	err := run([]string{path})
+	if err == nil || !strings.Contains(err.Error(), path+":2:") || !strings.Contains(err.Error(), "span_id") {
+		t.Fatalf("span-less record not rejected with path:line: %v", err)
+	}
+	// A span ID without a trace ID is rejected the same way.
+	path = writeTrace(t, `{"name":"study","span_id":"1","start_unix_ns":1,"duration_ns":5,"rep":0}`)
+	if err := run([]string{path}); err == nil || !strings.Contains(err.Error(), path+":1:") {
+		t.Fatalf("trace-less record not rejected with path:line: %v", err)
 	}
 }
 

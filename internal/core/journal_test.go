@@ -2,8 +2,10 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -74,4 +76,53 @@ func TestOpenJournalKeepsCompleteFile(t *testing.T) {
 	if len(ns) != 2 || ns[0] != 1 || ns[1] != 2 {
 		t.Fatalf("replayed %v, want [1 2]", ns)
 	}
+}
+
+// FuzzOpenJournal feeds arbitrary bytes to OpenJournal as an existing
+// journal file. Loading must never panic, and whenever it succeeds the
+// journal must stay appendable: an Append followed by a reopen replays
+// exactly the complete lines of the first load plus the new record, which
+// covers torn-tail recovery on every input the fuzzer finds.
+func FuzzOpenJournal(f *testing.F) {
+	f.Add([]byte(""))
+	f.Add([]byte("{\"n\":1}\n{\"n\":2}\n"))
+	f.Add([]byte("{\"n\":1}\n{\"n\":2"))
+	f.Add([]byte("\n{\"n\":1}\n\n\n{\"n\":2}\n"))
+	f.Add([]byte("{\"n\":1}\nnot json\n{\"n\":2}\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "j.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		open := func() (*Journal, []string, error) {
+			var lines []string
+			j, err := OpenJournal(path, func(line []byte) error {
+				if !json.Valid(line) {
+					return errors.New("invalid JSON line")
+				}
+				lines = append(lines, string(line))
+				return nil
+			})
+			return j, lines, err
+		}
+		j, before, err := open()
+		if err != nil {
+			return
+		}
+		if err := j.Append(journalRec{N: 42}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j2, after, err := open()
+		if err != nil {
+			t.Fatalf("reopen after append: %v", err)
+		}
+		defer j2.Close()
+		want := append(before, `{"n":42}`)
+		if !reflect.DeepEqual(after, want) {
+			t.Fatalf("reopen replayed %q, want %q", after, want)
+		}
+	})
 }

@@ -9,6 +9,11 @@ import (
 	"time"
 )
 
+// maxSubmitBytes caps a POST /jobs body. The largest submission in the
+// study corpora is under 3 KB, so 1 MiB leaves ample headroom while keeping
+// one request from buffering unbounded input.
+const maxSubmitBytes = 1 << 20
+
 // errorBody is the JSON error envelope for non-2xx responses, mirroring the
 // shard coordinator's wire style.
 type errorBody struct {
@@ -34,7 +39,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // Handler serves the repaird HTTP API on a stdlib mux:
 //
-//	POST /jobs              submit a spec+tests+technique, get a job id (202)
+//	POST /jobs              submit a spec+tests+technique, get a job id (202;
+//	                        413 for a body over 1 MiB)
 //	GET  /jobs              list jobs
 //	GET  /jobs/{id}         job state; ?wait=DUR long-polls for completion
 //	GET  /jobs/{id}/stream  JSONL progress stream until the job finishes
@@ -77,8 +83,13 @@ func (s *Service) Handler() http.Handler {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var sub Submission
-	if err := json.NewDecoder(r.Body).Decode(&sub); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "decoding submission: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&sub); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorBody{Error: "decoding submission: " + err.Error()})
 		return
 	}
 	snap, dup, err := s.Submit(sub)

@@ -10,6 +10,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"specrepair/internal/alloy/printer"
+	"specrepair/internal/bench"
 )
 
 func postJSON(t *testing.T, url string, v any) *http.Response {
@@ -219,4 +222,59 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining /healthz: HTTP %d, want 503", resp.StatusCode)
 	}
+}
+
+// A POST /jobs body one byte over the cap is refused with 413 and a JSON
+// error before anything is admitted, while the largest corpus submission
+// still gets 202.
+func TestHTTPSubmitBodyCap(t *testing.T) {
+	svc := newService(t, Options{})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	prefix, suffix := `{"spec":"`, `","technique":"BeAFix"}`
+	pad := strings.Repeat(" ", maxSubmitBytes+1-len(prefix)-len(suffix))
+	body := prefix + pad + suffix
+	if len(body) != maxSubmitBytes+1 {
+		t.Fatalf("body is %d bytes, want %d", len(body), maxSubmitBytes+1)
+	}
+	before := svc.Stats()
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: HTTP %d, want 413", resp.StatusCode)
+	}
+	if eb := decodeBody[errorBody](t, resp); eb.Error == "" {
+		t.Fatal("413 without a JSON error body")
+	}
+	if after := svc.Stats(); after.Submitted != before.Submitted || len(svc.Jobs()) != 0 {
+		t.Fatalf("oversized submit changed the queue: submitted %d -> %d, %d jobs",
+			before.Submitted, after.Submitted, len(svc.Jobs()))
+	}
+
+	gen := bench.NewGenerator(nil)
+	gen.Scale = 400
+	a4f, ar, err := gen.Both()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var largest Submission
+	var largestLen int
+	for _, sp := range append(a4f.Specs, ar.Specs...) {
+		sub := Submission{Spec: printer.Module(sp.Faulty), Tests: sp.Tests.Tests, Technique: "BeAFix"}
+		b, err := json.Marshal(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) > largestLen {
+			largest, largestLen = sub, len(b)
+		}
+	}
+	resp = postJSON(t, srv.URL+"/jobs", largest)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("corpus submission (%d bytes): HTTP %d, want 202", largestLen, resp.StatusCode)
+	}
+	resp.Body.Close()
 }

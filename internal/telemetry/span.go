@@ -9,8 +9,8 @@ import (
 
 // SpanRecord is the JSONL wire form of one finished span. Every line of a
 // trace file is one SpanRecord encoded with encoding/json. Records carry
-// hierarchy fields (trace/span/parent IDs) when produced by the Span tracer;
-// legacy flat traces omit them, and old readers ignore them.
+// hierarchy fields (trace/span/parent IDs) stamped by the Span tracer;
+// cmd/checktrace rejects a record without them.
 type SpanRecord struct {
 	Name      string `json:"name"`
 	Technique string `json:"technique,omitempty"`
