@@ -60,15 +60,41 @@ func (s *Suite) Clone() *Suite {
 	return &Suite{Tests: append([]*Test(nil), s.Tests...)}
 }
 
-// Run evaluates one test against a model. A test passes when the formula
+// Model is a module lowered once for any number of test runs: every test
+// evaluates against the same lowered module and Info, so a suite of N tests
+// clones and type-checks its model once rather than N times. A Model is
+// read-only after Lower and may be shared across goroutines.
+type Model struct {
+	low  *ast.Module
+	info *types.Info
+	err  error
+}
+
+// Lower lowers mod for test runs. When mod does not check, the Model keeps
+// the error and every test run against it fails with it.
+func Lower(mod *ast.Module) *Model {
+	low, info, err := types.Lower(mod)
+	return &Model{low: low, info: info, err: err}
+}
+
+// Err returns the lowering error, nil when the model checks.
+func (m *Model) Err() error { return m.err }
+
+// Info returns the lowered module's type information, nil when Err is not.
+func (m *Model) Info() *types.Info { return m.info }
+
+// Run evaluates one test against the model. A test passes when the formula
 // evaluates without error to the expected boolean.
-func (t *Test) Run(mod *ast.Module) Result {
-	passed, err := t.eval(mod)
+func (m *Model) Run(t *Test) Result {
+	passed, err := m.eval(t)
 	if err != nil {
 		return Result{Test: t, Passed: false, Err: err}
 	}
 	return Result{Test: t, Passed: passed}
 }
+
+// Run evaluates one test against a module; see Model.Run.
+func (t *Test) Run(mod *ast.Module) Result { return Lower(mod).Run(t) }
 
 // Instance materializes the test's valuation as a concrete instance over
 // the model's relations (absent relations are empty).
@@ -132,12 +158,11 @@ func (t *Test) Instance(info *types.Info) (*instance.Instance, error) {
 	return inst, nil
 }
 
-func (t *Test) eval(mod *ast.Module) (bool, error) {
-	low, info, err := types.Lower(mod)
-	if err != nil {
-		return false, fmt.Errorf("test %s: model does not check: %w", t.Name, err)
+func (m *Model) eval(t *Test) (bool, error) {
+	if m.err != nil {
+		return false, fmt.Errorf("test %s: model does not check: %w", t.Name, m.err)
 	}
-	inst, err := t.Instance(info)
+	inst, err := t.Instance(m.info)
 	if err != nil {
 		return false, err
 	}
@@ -145,7 +170,7 @@ func (t *Test) eval(mod *ast.Module) (bool, error) {
 	var expr ast.Expr
 	if t.Formula == FactsFormula {
 		blk := &ast.Block{}
-		for _, f := range low.Facts {
+		for _, f := range m.low.Facts {
 			blk.Exprs = append(blk.Exprs, f.Body)
 		}
 		expr = blk
@@ -154,10 +179,10 @@ func (t *Test) eval(mod *ast.Module) (bool, error) {
 		if err != nil {
 			return false, fmt.Errorf("test %s: parsing formula: %w", t.Name, err)
 		}
-		expr = types.RewriteCalls(low, expr)
+		expr = types.RewriteCalls(m.low, expr)
 	}
 
-	ev := &instance.Evaluator{Mod: low, Inst: inst}
+	ev := &instance.Evaluator{Mod: m.low, Inst: inst}
 	got, err := ev.EvalFormula(expr, nil)
 	if err != nil {
 		return false, fmt.Errorf("test %s: evaluating: %w", t.Name, err)
@@ -165,13 +190,17 @@ func (t *Test) eval(mod *ast.Module) (bool, error) {
 	return got == t.Expect, nil
 }
 
-// RunAll evaluates the whole suite, returning individual results and the
-// number of passing tests.
-func (s *Suite) RunAll(mod *ast.Module) ([]Result, int) {
+// RunAll lowers mod once and evaluates the whole suite against it; see
+// RunModel.
+func (s *Suite) RunAll(mod *ast.Module) ([]Result, int) { return s.RunModel(Lower(mod)) }
+
+// RunModel evaluates the whole suite against one lowered model, returning
+// individual results and the number of passing tests.
+func (s *Suite) RunModel(m *Model) ([]Result, int) {
 	results := make([]Result, 0, len(s.Tests))
 	passed := 0
 	for _, t := range s.Tests {
-		r := t.Run(mod)
+		r := m.Run(t)
 		if r.Passed {
 			passed++
 		}

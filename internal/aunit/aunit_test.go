@@ -2,6 +2,7 @@ package aunit
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"specrepair/internal/alloy/ast"
@@ -175,4 +176,33 @@ func TestSuiteClone(t *testing.T) {
 	if s.Len() != 1 || c.Len() != 2 {
 		t.Error("clone should not share backing slice growth")
 	}
+}
+
+// TestModelSharedAcrossGoroutines runs one suite against one Model from two
+// goroutines; under -race it proves a lowered model is read-only.
+func TestModelSharedAcrossGoroutines(t *testing.T) {
+	m := Lower(mustParse(t, model))
+	if m.Err() != nil {
+		t.Fatal(m.Err())
+	}
+	s := &Suite{}
+	s.Add(&Test{Name: "call", Valuation: map[string][][]string{"Node": {{"N0"}}, "next": {{"N0", "N0"}}}, Formula: "linked[]", Expect: true})
+	s.Add(&Test{Name: "facts", Valuation: map[string][][]string{"Node": {{"N0"}, {"N1"}}}, Formula: FactsFormula, Expect: true})
+	s.Add(&Test{Name: "fail", Valuation: map[string][][]string{"Node": {{"N0"}}}, Formula: "all n: Node | some n.next", Expect: true})
+	want, wantPassed := s.RunModel(m)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				got, passed := s.RunModel(m)
+				if passed != wantPassed || len(got) != len(want) {
+					t.Errorf("concurrent RunModel passed %d of %d, want %d of %d", passed, len(got), wantPassed, len(want))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

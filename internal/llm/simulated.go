@@ -69,6 +69,7 @@ func (m *SimulatedModel) promptAgentReply(v conversationView) string {
 		return focusMarker + " re-examine the fact constraints."
 	}
 	val := v.valuations[len(v.valuations)-1]
+	model := aunit.Lower(mod)
 	for i, f := range mod.Facts {
 		t := &aunit.Test{
 			Name:      "agent_probe",
@@ -76,7 +77,7 @@ func (m *SimulatedModel) promptAgentReply(v conversationView) string {
 			Formula:   printer.Expr(f.Body),
 			Expect:    false, // the counterexample should be excluded
 		}
-		r := t.Run(mod)
+		r := model.Run(t)
 		if r.Err == nil && !r.Passed {
 			// This fact accepted the counterexample: suspicious.
 			name := f.Name
@@ -298,12 +299,16 @@ func (m *SimulatedModel) cexAdjustment(cand *ast.Module, v conversationView, rng
 		return 0
 	}
 	adj := 0.0
+	var model *aunit.Model // lowered on the first probe that is not skipped
 	for _, val := range v.valuations {
 		if rng.Float64() < 0.3 {
 			continue // misread the counterexample
 		}
+		if model == nil {
+			model = aunit.Lower(cand)
+		}
 		t := &aunit.Test{Name: "model_probe", Valuation: val, Formula: aunit.FactsFormula, Expect: false}
-		r := t.Run(cand)
+		r := model.Run(t)
 		if r.Err != nil {
 			continue
 		}

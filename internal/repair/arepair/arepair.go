@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"specrepair/internal/alloy/ast"
-	"specrepair/internal/alloy/types"
 	"specrepair/internal/aunit"
 	"specrepair/internal/faultloc"
 	"specrepair/internal/mutation"
@@ -126,10 +125,11 @@ func (t *Tool) improveOnce(ctx context.Context, mod *ast.Module, suite *aunit.Su
 
 	consider := func(cand *ast.Module) (bool, *ast.Module) {
 		tried++
-		if _, err := types.Check(cand.Clone()); err != nil {
+		m := aunit.Lower(cand)
+		if m.Err() != nil {
 			return false, nil
 		}
-		_, passed := suite.RunAll(cand)
+		_, passed := suite.RunModel(m)
 		if passed > best {
 			return true, cand
 		}
@@ -201,14 +201,14 @@ func within(outer, inner mutation.Site) bool {
 // valuation of an expect-true test should be accepted by the intended
 // specification, an expect-false one rejected.
 func (t *Tool) localize(mod *ast.Module, suite *aunit.Suite) ([]faultloc.RankedSite, error) {
-	_, info, err := types.Lower(mod)
-	if err != nil {
-		return nil, err
+	m := aunit.Lower(mod)
+	if m.Err() != nil {
+		return nil, m.Err()
 	}
 	var failing, passing []faultloc.Observation
-	results, _ := suite.RunAll(mod)
+	results, _ := suite.RunModel(m)
 	for _, r := range results {
-		inst, err := r.Test.Instance(info)
+		inst, err := r.Test.Instance(m.Info())
 		if err != nil {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -115,13 +116,24 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// maxRequestBytes caps the body of every protocol POST. The largest is a
+// /shard/complete body; on the scale-100 study slice it is about 280 bytes
+// (a 202-byte record in its envelope), so 64 KiB leaves ample room for long
+// error strings while a runaway or hostile client cannot exhaust memory.
+const maxRequestBytes = 64 << 10
+
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST required"})
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorBody{Error: err.Error()})
 		return false
 	}
 	return true

@@ -1,9 +1,13 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -213,8 +217,11 @@ func TestWorkerLoopRunsStudyOverHTTP(t *testing.T) {
 			Digest:  "digest-1",
 			Jobs:    jobs,
 			Run: func(ctx context.Context, start int, refs []core.JobRef, emit func(int, *core.CheckpointRecord) error) error {
+				// REP is keyed on the job, not its offset in the lease: a
+				// stolen remainder starts elsewhere, and jobs must be
+				// deterministic for first-wins completion to be sound.
 				for i, ref := range refs {
-					if err := emit(start+i, recordFor(ref, i%2)); err != nil {
+					if err := emit(start+i, recordFor(ref, (start+i)%2)); err != nil {
 						return err
 					}
 				}
@@ -281,5 +288,70 @@ func TestStudyDigestDistinguishesSeeds(t *testing.T) {
 	d3 := StudyDigest(1, []string{"A"})
 	if d1 == d2 || d1 == d3 || d2 == d3 {
 		t.Fatalf("digests collide: %s %s %s", d1, d2, d3)
+	}
+}
+
+func TestCoordinatorCapsRequestBodies(t *testing.T) {
+	jobs := testJobs(4)
+	journal := core.NewMemoryCheckpoint()
+	board := NewBoard(jobs, BoardOptions{ChunkSize: 4, TTL: 5 * time.Second, Journal: journal})
+	coord, err := Serve("127.0.0.1:0", "digest-1", board)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	base := "http://" + coord.Addr()
+
+	var lease LeaseResponse
+	if err := post(context.Background(), http.DefaultClient, base+"/shard/lease",
+		LeaseRequest{Worker: "w", Digest: "digest-1"}, &lease); err != nil || lease.Count != len(jobs) {
+		t.Fatalf("lease = %+v, %v", lease, err)
+	}
+
+	// completion marshals a /shard/complete body for job i whose record's
+	// error string pads it to exactly size bytes.
+	completion := func(i, size int) []byte {
+		req := CompleteRequest{Worker: "w", LeaseID: lease.LeaseID, Index: i, Record: recordFor(jobs[i], 1)}
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Record.Err = strings.Repeat("x", size-len(b)-len(`,"err":""`))
+		if b, err = json.Marshal(req); err != nil || len(b) != size {
+			t.Fatalf("padded body is %d bytes, want %d (%v)", len(b), size, err)
+		}
+		return b
+	}
+	send := func(body []byte) int {
+		resp, err := http.Post(base+"/shard/complete", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var eb errorBody
+		if resp.StatusCode != http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error == "" {
+				t.Fatalf("HTTP %d without a JSON error body (%v)", resp.StatusCode, err)
+			}
+		}
+		return resp.StatusCode
+	}
+
+	if code := send(completion(0, maxRequestBytes+1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body one byte over the cap: HTTP %d, want 413", code)
+	}
+	if st := board.Status(); st.Done != 0 || journal.Len() != 0 {
+		t.Fatalf("oversized completion changed the board: %+v, journal %d", st, journal.Len())
+	}
+	if code := send(completion(0, maxRequestBytes)); code != http.StatusOK {
+		t.Fatalf("body at the cap: HTTP %d, want 200", code)
+	}
+	var done CompleteResponse
+	if err := post(context.Background(), http.DefaultClient, base+"/shard/complete",
+		CompleteRequest{Worker: "w", LeaseID: lease.LeaseID, Index: 1, Record: recordFor(jobs[1], 1)}, &done); err != nil {
+		t.Fatalf("real record rejected: %v", err)
+	}
+	if st := board.Status(); st.Done != 2 || journal.Len() != 2 {
+		t.Fatalf("status = %+v, journal %d; want 2 done", st, journal.Len())
 	}
 }
