@@ -4,8 +4,8 @@
 // invariants:
 //
 //   - per-record: every span has a name, a span ID and a trace ID; "job"
-//     spans carry technique, spec, and a positive duration; incremental
-//     counters are non-negative.
+//     spans carry technique and spec attributes and a positive duration;
+//     incremental counter metrics are non-negative.
 //   - hierarchy: span IDs are unique, every
 //     non-root span's parent exists in the same trace, parent links are
 //     acyclic, and child intervals nest inside their parent's (with a small
@@ -134,21 +134,22 @@ func readFile(path string, st *traceStats) error {
 			return fmt.Errorf("%s:%d: span missing span_id/trace_id: %s", path, line, raw)
 		}
 		if sr.Name == "job" {
-			if sr.Technique == "" || sr.Spec == "" {
+			if sr.Attrs["technique"] == "" || sr.Attrs["spec"] == "" {
 				return fmt.Errorf("%s:%d: job span missing technique/spec: %s", path, line, raw)
 			}
 			if sr.DurationNs <= 0 {
 				st.badDur++
 			}
-			st.techniques[sr.Technique]++
+			st.techniques[sr.Attrs["technique"]]++
 			st.total += sr.DurationNs
 		}
-		if sr.IncQueries < 0 || sr.IncFallbacks < 0 || sr.IncCarriedLearnts < 0 {
+		inc := sr.Metrics
+		if inc["inc_queries"] < 0 || inc["inc_fallbacks"] < 0 || inc["inc_carried_learnts"] < 0 {
 			return fmt.Errorf("%s:%d: span has negative incremental counters: %s", path, line, raw)
 		}
-		st.incQueries += sr.IncQueries
-		st.incFallbacks += sr.IncFallbacks
-		st.incCarried += sr.IncCarriedLearnts
+		st.incQueries += inc["inc_queries"]
+		st.incFallbacks += inc["inc_fallbacks"]
+		st.incCarried += inc["inc_carried_learnts"]
 		st.kinds[sr.Name]++
 		st.traces[sr.TraceID] = true
 		st.recs = append(st.recs, sr)

@@ -17,13 +17,13 @@ func writeTrace(t *testing.T, lines ...string) string {
 }
 
 const (
-	rootLine = `{"name":"study","trace_id":"1","span_id":"1","start_unix_ns":1000,"duration_ns":10000,"rep":0}`
-	jobLine  = `{"name":"job","technique":"ATR","spec":"s","trace_id":"1","span_id":"2","parent_id":"1","start_unix_ns":2000,"duration_ns":5000,"outcome":"repaired","rep":1}`
+	rootLine = `{"name":"study","trace_id":"1","span_id":"1","start_unix_ns":1000,"duration_ns":10000}`
+	jobLine  = `{"name":"job","trace_id":"1","span_id":"2","parent_id":"1","start_unix_ns":2000,"duration_ns":5000,"attrs":{"technique":"ATR","spec":"s","outcome":"repaired"},"metrics":{"rep":1}}`
 )
 
 func TestValidHierarchy(t *testing.T) {
 	path := writeTrace(t, rootLine, jobLine,
-		`{"name":"sat.solve","trace_id":"1","span_id":"3","parent_id":"2","start_unix_ns":2500,"duration_ns":100,"rep":0}`)
+		`{"name":"sat.solve","trace_id":"1","span_id":"3","parent_id":"2","start_unix_ns":2500,"duration_ns":100}`)
 	if err := run([]string{path}); err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
@@ -32,13 +32,13 @@ func TestValidHierarchy(t *testing.T) {
 func TestSpanlessRecordRejected(t *testing.T) {
 	// A flat job record without span or trace IDs is rejected at its line.
 	path := writeTrace(t, rootLine,
-		`{"name":"job","technique":"ATR","spec":"s","start_unix_ns":1,"duration_ns":5,"rep":1}`)
+		`{"name":"job","start_unix_ns":1,"duration_ns":5,"attrs":{"technique":"ATR","spec":"s"},"metrics":{"rep":1}}`)
 	err := run([]string{path})
 	if err == nil || !strings.Contains(err.Error(), path+":2:") || !strings.Contains(err.Error(), "span_id") {
 		t.Fatalf("span-less record not rejected with path:line: %v", err)
 	}
 	// A span ID without a trace ID is rejected the same way.
-	path = writeTrace(t, `{"name":"study","span_id":"1","start_unix_ns":1,"duration_ns":5,"rep":0}`)
+	path = writeTrace(t, `{"name":"study","span_id":"1","start_unix_ns":1,"duration_ns":5}`)
 	if err := run([]string{path}); err == nil || !strings.Contains(err.Error(), path+":1:") {
 		t.Fatalf("trace-less record not rejected with path:line: %v", err)
 	}
@@ -46,7 +46,7 @@ func TestSpanlessRecordRejected(t *testing.T) {
 
 func TestOrphanParentRejected(t *testing.T) {
 	path := writeTrace(t, rootLine,
-		`{"name":"sat.solve","trace_id":"1","span_id":"9","parent_id":"404","start_unix_ns":2500,"duration_ns":100,"rep":0}`)
+		`{"name":"sat.solve","trace_id":"1","span_id":"9","parent_id":"404","start_unix_ns":2500,"duration_ns":100}`)
 	err := run([]string{path})
 	if err == nil || !strings.Contains(err.Error(), "missing parent") {
 		t.Fatalf("orphan not rejected: %v", err)
@@ -64,7 +64,7 @@ func TestDuplicateIDRejected(t *testing.T) {
 func TestNonNestedChildRejected(t *testing.T) {
 	// Child ends far beyond its parent (beyond the 2ms slack).
 	path := writeTrace(t, rootLine,
-		`{"name":"sat.solve","trace_id":"1","span_id":"3","parent_id":"1","start_unix_ns":2000,"duration_ns":99000000,"rep":0}`)
+		`{"name":"sat.solve","trace_id":"1","span_id":"3","parent_id":"1","start_unix_ns":2000,"duration_ns":99000000}`)
 	err := run([]string{path})
 	if err == nil || !strings.Contains(err.Error(), "after its parent") {
 		t.Fatalf("non-nested child not rejected: %v", err)
@@ -73,8 +73,8 @@ func TestNonNestedChildRejected(t *testing.T) {
 
 func TestParentCycleRejected(t *testing.T) {
 	path := writeTrace(t, rootLine,
-		`{"name":"a","trace_id":"1","span_id":"5","parent_id":"6","start_unix_ns":2000,"duration_ns":100,"rep":0}`,
-		`{"name":"b","trace_id":"1","span_id":"6","parent_id":"5","start_unix_ns":2000,"duration_ns":100,"rep":0}`)
+		`{"name":"a","trace_id":"1","span_id":"5","parent_id":"6","start_unix_ns":2000,"duration_ns":100}`,
+		`{"name":"b","trace_id":"1","span_id":"6","parent_id":"5","start_unix_ns":2000,"duration_ns":100}`)
 	err := run([]string{path})
 	if err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("cycle not rejected: %v", err)
@@ -87,8 +87,8 @@ func TestMergedWorkerFiles(t *testing.T) {
 	// validates against its own roots.
 	w1 := writeTrace(t, rootLine, jobLine)
 	w2 := writeTrace(t,
-		`{"name":"study","trace_id":"2","span_id":"1","start_unix_ns":1000,"duration_ns":10000,"rep":0}`,
-		`{"name":"job","technique":"CEGIS","spec":"s2","trace_id":"2","span_id":"2","parent_id":"1","start_unix_ns":2000,"duration_ns":5000,"outcome":"repaired","rep":1}`)
+		`{"name":"study","trace_id":"2","span_id":"1","start_unix_ns":1000,"duration_ns":10000}`,
+		`{"name":"job","trace_id":"2","span_id":"2","parent_id":"1","start_unix_ns":2000,"duration_ns":5000,"attrs":{"technique":"CEGIS","spec":"s2","outcome":"repaired"},"metrics":{"rep":1}}`)
 	if err := run([]string{w1, w2}); err != nil {
 		t.Fatalf("merged worker traces rejected: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestMergedFilesOrphanRejected(t *testing.T) {
 	// with the right ID exists there.
 	w1 := writeTrace(t, rootLine)
 	w2 := writeTrace(t,
-		`{"name":"sat.solve","trace_id":"2","span_id":"7","parent_id":"1","start_unix_ns":2500,"duration_ns":100,"rep":0}`)
+		`{"name":"sat.solve","trace_id":"2","span_id":"7","parent_id":"1","start_unix_ns":2500,"duration_ns":100}`)
 	err := run([]string{w1, w2})
 	if err == nil || !strings.Contains(err.Error(), "missing parent") {
 		t.Fatalf("cross-trace parent not rejected: %v", err)
@@ -118,7 +118,7 @@ func TestMergedFilesOrphanRejected(t *testing.T) {
 
 func TestJobMissingTechniqueRejected(t *testing.T) {
 	path := writeTrace(t, rootLine,
-		`{"name":"job","trace_id":"1","span_id":"2","parent_id":"1","start_unix_ns":2000,"duration_ns":5000,"rep":0}`)
+		`{"name":"job","trace_id":"1","span_id":"2","parent_id":"1","start_unix_ns":2000,"duration_ns":5000,"metrics":{"rep":0}}`)
 	err := run([]string{path})
 	if err == nil || !strings.Contains(err.Error(), "technique") {
 		t.Fatalf("job without technique not rejected: %v", err)

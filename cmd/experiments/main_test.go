@@ -47,11 +47,11 @@ func TestSmokeTraceAndCSV(t *testing.T) {
 		}
 		if sr.Name == "job" {
 			jobs++
-			if sr.Technique == "" || sr.Spec == "" {
+			if sr.Attrs["technique"] == "" || sr.Attrs["spec"] == "" {
 				t.Errorf("job span on line %d missing technique/spec: %+v", spans+1, sr)
 			}
 			if sr.DurationNs <= 0 {
-				t.Errorf("span %s/%s has non-positive duration", sr.Technique, sr.Spec)
+				t.Errorf("span %s/%s has non-positive duration", sr.Attrs["technique"], sr.Attrs["spec"])
 			}
 		}
 		spans++

@@ -110,14 +110,11 @@ func load(path string) (*trace, error) {
 // label renders a span's display name: the kind plus its most identifying
 // attribute.
 func label(sr *telemetry.SpanRecord) string {
-	if sr.Name == "job" && sr.Technique != "" {
-		return fmt.Sprintf("job %s %s", sr.Technique, sr.Spec)
+	if sr.Name == "job" && sr.Attrs["technique"] != "" {
+		return fmt.Sprintf("job %s %s", sr.Attrs["technique"], sr.Attrs["spec"])
 	}
 	if n := sr.Attrs["name"]; n != "" {
 		return sr.Name + " " + n
-	}
-	if c := sr.Attrs["config"]; c != "" {
-		return sr.Name + " " + c
 	}
 	return sr.Name
 }
@@ -328,7 +325,7 @@ func (t *trace) jobSuffix(sr *telemetry.SpanRecord) string {
 			if cur == sr {
 				return ""
 			}
-			return fmt.Sprintf("  [in %s %s]", cur.Technique, cur.Spec)
+			return fmt.Sprintf("  [in %s %s]", cur.Attrs["technique"], cur.Attrs["spec"])
 		}
 		if cur.ParentID == "" {
 			return ""

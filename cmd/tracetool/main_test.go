@@ -11,12 +11,12 @@ import (
 func fixture(t *testing.T) string {
 	t.Helper()
 	lines := []string{
-		`{"name":"study","trace_id":"1","span_id":"1","start_unix_ns":0,"duration_ns":100000000,"rep":0}`,
-		`{"name":"phase","trace_id":"1","span_id":"2","parent_id":"1","start_unix_ns":0,"duration_ns":90000000,"attrs":{"name":"evaluate_a4f"},"rep":0}`,
-		`{"name":"job","technique":"ATR","spec":"A4F/cv/0000","trace_id":"1","span_id":"3","parent_id":"2","lane":1,"start_unix_ns":1000,"duration_ns":60000000,"outcome":"repaired","rep":1}`,
-		`{"name":"candidate.eval","trace_id":"1","span_id":"4","parent_id":"3","lane":1,"start_unix_ns":2000,"duration_ns":50000000,"rep":0}`,
-		`{"name":"sat.solve","trace_id":"1","span_id":"5","parent_id":"4","lane":1,"start_unix_ns":3000,"duration_ns":40000000,"attrs":{"status":"SAT"},"rep":0}`,
-		`{"name":"job","technique":"BeAFix","spec":"A4F/cv/0000","trace_id":"1","span_id":"6","parent_id":"2","lane":2,"start_unix_ns":1000,"duration_ns":10000000,"outcome":"failed","rep":0}`,
+		`{"name":"study","trace_id":"1","span_id":"1","start_unix_ns":0,"duration_ns":100000000}`,
+		`{"name":"phase","trace_id":"1","span_id":"2","parent_id":"1","start_unix_ns":0,"duration_ns":90000000,"attrs":{"name":"evaluate_a4f"}}`,
+		`{"name":"job","trace_id":"1","span_id":"3","parent_id":"2","lane":1,"start_unix_ns":1000,"duration_ns":60000000,"attrs":{"technique":"ATR","spec":"A4F/cv/0000","outcome":"repaired"},"metrics":{"rep":1}}`,
+		`{"name":"candidate.eval","trace_id":"1","span_id":"4","parent_id":"3","lane":1,"start_unix_ns":2000,"duration_ns":50000000}`,
+		`{"name":"sat.solve","trace_id":"1","span_id":"5","parent_id":"4","lane":1,"start_unix_ns":3000,"duration_ns":40000000,"attrs":{"status":"SAT"}}`,
+		`{"name":"job","trace_id":"1","span_id":"6","parent_id":"2","lane":2,"start_unix_ns":1000,"duration_ns":10000000,"attrs":{"technique":"BeAFix","spec":"A4F/cv/0000","outcome":"failed"},"metrics":{"rep":0}}`,
 	}
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {

@@ -11,11 +11,11 @@ import (
 // alongside the human-readable BENCH_*.txt transcripts so downstream tooling
 // can diff results without parsing go test output.
 type BenchResult struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
+	Name        string `json:"name"`
+	Iterations  int    `json:"iterations"`
+	NsPerOp     int64  `json:"ns_per_op"`
+	AllocsPerOp int64  `json:"allocs_per_op"`
+	BytesPerOp  int64  `json:"bytes_per_op"`
 	// Extra carries benchmark-specific metrics (e.g. cand/s, overhead %).
 	Extra map[string]float64 `json:"extra,omitempty"`
 }

@@ -24,7 +24,7 @@ func TestRunnerCachedMatchesUncached(t *testing.T) {
 		return out
 	}
 
-	plain := &Runner{Workers: 2, Seed: 1}
+	plain := &Runner{Workers: 2}
 	ePlain, err := plain.Evaluate(suite, pick(StudyFactories(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -34,8 +34,8 @@ func TestRunnerCachedMatchesUncached(t *testing.T) {
 	}
 
 	cache := anacache.New(0)
-	cachedRunner := &Runner{Workers: 4, Seed: 1, Cache: cache}
-	eCached, err := cachedRunner.Evaluate(suite, pick(CachedStudyFactories(1, cache)))
+	cachedRunner := &Runner{Workers: 4, Cache: cache}
+	eCached, err := cachedRunner.Evaluate(suite, pick(StudyFactoriesWith(1, FactoryOptions{Cache: cache})))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -81,21 +80,14 @@ type FactoryOptions struct {
 // configurations, each with a private uncached analyzer. The seed drives
 // the simulated LLM.
 func StudyFactories(seed int64) []Factory {
-	return CachedStudyFactories(seed, nil)
-}
-
-// CachedStudyFactories returns the twelve techniques sharing one analysis
-// cache (nil for private uncached analyzers). With a shared cache, the
-// heavy overlap between techniques' candidate spaces — BeAFix and ATR
-// enumerate many of the same mutants, ICEBAR and the Multi-Round loops
-// re-check near-identical intermediate specs — is solved once instead of
-// once per technique per worker.
-func CachedStudyFactories(seed int64, cache *anacache.Cache) []Factory {
-	return StudyFactoriesWith(seed, FactoryOptions{Cache: cache})
+	return StudyFactoriesWith(seed, FactoryOptions{})
 }
 
 // StudyFactoriesWith returns the twelve techniques under full factory
-// configuration.
+// configuration. With a shared cache, the heavy overlap between techniques'
+// candidate spaces — BeAFix and ATR enumerate many of the same mutants,
+// ICEBAR and the Multi-Round loops re-check near-identical intermediate
+// specs — is solved once instead of once per technique per worker.
 func StudyFactoriesWith(seed int64, o FactoryOptions) []Factory {
 	cache := o.Cache
 	newAnalyzer := func(col *telemetry.Collector) *analyzer.Analyzer {
@@ -167,13 +159,7 @@ func StudyFactoriesWith(seed int64, o FactoryOptions) []Factory {
 
 // FactoryByName finds a study factory.
 func FactoryByName(seed int64, name string) (Factory, error) {
-	return CachedFactoryByName(seed, name, nil)
-}
-
-// CachedFactoryByName finds a study factory whose technique shares the
-// given analysis cache.
-func CachedFactoryByName(seed int64, name string, cache *anacache.Cache) (Factory, error) {
-	return FactoryByNameWith(seed, name, FactoryOptions{Cache: cache})
+	return FactoryByNameWith(seed, name, FactoryOptions{})
 }
 
 // FactoryByNameWith finds a study factory under full factory configuration.
@@ -267,11 +253,9 @@ func (e *Evaluation) MeanSimilarity(technique string) (tm, sm float64) {
 type Runner struct {
 	// Workers is the parallelism degree (defaults to GOMAXPROCS).
 	Workers int
-	// Seed drives the simulated LLM.
-	Seed int64
 	// Cache, when non-nil, is the analysis cache shared by every worker's
-	// scoring analyzer. Pass the same instance to CachedStudyFactories so
-	// the techniques' own candidate validations land in the same store.
+	// scoring analyzer. Pass the same instance to StudyFactoriesWith so the
+	// techniques' own candidate validations land in the same store.
 	Cache *anacache.Cache
 	// Telemetry, when non-nil, receives a span per (technique, spec) job
 	// plus solver, analyzer, and technique-level live metrics. Each worker
@@ -296,18 +280,6 @@ type Runner struct {
 	// abandoned because the whole run was cancelled are never journaled.
 	Checkpoint *Checkpoint
 }
-
-// PanicError wraps a panic recovered from a repair technique, attributing it
-// to the job that raised it while the rest of the run continues.
-type PanicError struct {
-	Value any
-	Stack string
-}
-
-// Error renders the panic value; the captured stack is available on the
-// struct for diagnostics but excluded here so error strings stay
-// deterministic.
-func (e *PanicError) Error() string { return fmt.Sprintf("technique panicked: %v", e.Value) }
 
 // cacheStats snapshots the shared cache (zero value when uncached).
 func (r *Runner) cacheStats() anacache.Stats {
@@ -378,27 +350,17 @@ func (r *Runner) EvaluateContext(ctx context.Context, suite *bench.Suite, factor
 
 	results := r.runPool(ctx, workers, pending)
 
-	timeouts := r.Telemetry.Counter(telemetry.CtrJobTimeouts)
-	panics := r.Telemetry.Counter(telemetry.CtrJobPanics)
 	cancelled := r.Telemetry.Counter(telemetry.CtrJobCancelled)
 	var checkpointErr error
 	for er := range results {
 		res := er.res
 		record(res)
-		// Classify the failure mode. A job-level deadline surfaces as
-		// DeadlineExceeded; Canceled can only come from the run-wide context
-		// (job contexts are deadline-only), so those jobs were abandoned, not
-		// completed, and must not be journaled — resume re-runs them.
-		var pe *PanicError
+		// Canceled can only come from the run-wide context (job contexts are
+		// deadline-only), so those jobs were abandoned, not completed, and
+		// must not be journaled — resume re-runs them.
 		wasCancelled := errors.Is(res.Err, context.Canceled)
-		switch {
-		case wasCancelled:
+		if wasCancelled {
 			cancelled.Inc()
-		case errors.Is(res.Err, context.DeadlineExceeded):
-			timeouts.Inc()
-		}
-		if errors.As(res.Err, &pe) {
-			panics.Inc()
 		}
 		// Journal only while the run-wide context is live. A job finishing
 		// after cancellation may have been perturbed by the dead context in
@@ -446,7 +408,6 @@ func (r *Runner) runPool(ctx context.Context, workers int, pending []execJob) <-
 	results := make(chan execResult, workers)
 	var wg sync.WaitGroup
 
-	parentSpan := telemetry.SpanFromContext(ctx)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -464,54 +425,10 @@ func (r *Runner) runPool(ctx context.Context, workers int, pending []execJob) <-
 					tool = j.factory.NewWith(col)
 					tools[j.factory.Name] = tool
 				}
-				jobCtx, cancel := ctx, context.CancelFunc(nil)
-				if r.Timeout > 0 {
-					jobCtx, cancel = context.WithTimeout(ctx, r.Timeout)
-				}
-				if r.Telemetry == nil {
-					res := evaluateOne(jobCtx, an, tool, j.factory.Name, j.spec)
-					if cancel != nil {
-						cancel()
-					}
-					results <- execResult{suite: j.suite, res: res}
-					continue
-				}
-				// One "job" span per (technique, spec), laned by worker index
-				// so traces render one track per runner worker. All nil no-ops
-				// when no sink is configured.
-				jobSpan := parentSpan.Child("job")
-				jobSpan.SetLane(w + 1)
-				jobSpan.SetAttr("technique", j.factory.Name)
-				jobSpan.SetAttr("spec", j.suite+"/"+j.spec.Name)
-				jobCtx = telemetry.ContextWithSpan(jobCtx, jobSpan)
-				col.BeginJob()
-				start := time.Now()
-				res := evaluateOne(jobCtx, an, tool, j.factory.Name, j.spec)
-				dur := time.Since(start)
-				if cancel != nil {
-					cancel()
-				}
-				outcome := telemetry.OutcomeFailed
-				switch {
-				case res.Err != nil:
-					outcome = telemetry.OutcomeError
-				case res.Outcome.Repaired:
-					outcome = telemetry.OutcomeRepaired
-				}
-				r.Telemetry.RecordJob(telemetry.JobRecord{
-					Technique:     j.factory.Name,
-					Spec:          j.suite + "/" + j.spec.Name,
-					Start:         start,
-					Duration:      dur,
-					Outcome:       outcome,
-					REP:           res.REP,
-					Candidates:    res.Outcome.Stats.CandidatesTried,
-					AnalyzerCalls: res.Outcome.Stats.AnalyzerCalls,
-					TestRuns:      res.Outcome.Stats.TestRuns,
-					Iterations:    res.Outcome.Stats.Iterations,
-					Effort:        col.TakeJobEffort(),
-					Span:          jobSpan,
-				})
+				// Laned by worker index so traces render one track per
+				// runner worker.
+				res := RunJob(ctx, col, w+1, r.Timeout, j.factory.Name, j.suite+"/"+j.spec.Name,
+					func(ctx context.Context, res *Result) { evaluateOne(ctx, an, tool, j.spec, res) })
 				results <- execResult{suite: j.suite, res: res}
 			}
 		}(w)
@@ -606,16 +523,11 @@ func checkDuplicateSpecs(suite *bench.Suite) error {
 	return nil
 }
 
-// evaluateOne runs one technique on one spec and scores the outcome. A panic
-// in the technique (or scoring) is recovered into a *PanicError on the
-// result, isolating the failure to this job.
-func evaluateOne(ctx context.Context, an *analyzer.Analyzer, tool repair.Technique, name string, spec *bench.Spec) (res *Result) {
-	res = &Result{Spec: spec, Technique: name}
-	defer func() {
-		if v := recover(); v != nil {
-			res.Err = errors.Join(res.Err, &PanicError{Value: v, Stack: string(debug.Stack())})
-		}
-	}()
+// evaluateOne runs one technique on one spec and scores the outcome into
+// res. It runs under RunJob, which recovers a panic in the technique (or
+// scoring) into a *PanicError on res, isolating the failure to this job.
+func evaluateOne(ctx context.Context, an *analyzer.Analyzer, tool repair.Technique, spec *bench.Spec, res *Result) {
+	res.Spec = spec
 	an = an.WithContext(ctx)
 	out, err := tool.Repair(ctx, spec.Problem())
 	res.Outcome = out
@@ -638,7 +550,6 @@ func evaluateOne(ctx context.Context, an *analyzer.Analyzer, tool repair.Techniq
 	}
 	res.TM = metrics.TokenMatch(gtSrc, candSrc)
 	res.SM = metrics.SyntaxMatch(gtSrc, candSrc)
-	return res
 }
 
 // Hybrid describes one traditional+LLM pairing of RQ3.

@@ -53,7 +53,7 @@ func miniSuite(t *testing.T) *bench.Suite {
 
 func TestRunnerEvaluate(t *testing.T) {
 	suite := miniSuite(t)
-	runner := &Runner{Workers: 2, Seed: 1}
+	runner := &Runner{Workers: 2}
 	// Two cheap techniques keep the test fast.
 	var factories []Factory
 	for _, f := range StudyFactories(1) {
@@ -98,8 +98,8 @@ func TestRunnerDeterministicAcrossWorkerCounts(t *testing.T) {
 			factory = append(factory, f)
 		}
 	}
-	r1 := &Runner{Workers: 1, Seed: 7}
-	r2 := &Runner{Workers: 4, Seed: 7}
+	r1 := &Runner{Workers: 1}
+	r2 := &Runner{Workers: 4}
 	e1, err := r1.Evaluate(suite, factory)
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +308,7 @@ func TestRunnerTelemetry(t *testing.T) {
 			factories = append(factories, f)
 		}
 	}
-	runner := &Runner{Workers: 2, Seed: 1, Telemetry: reg}
+	runner := &Runner{Workers: 2, Telemetry: reg}
 	progressed := false
 	runner.Progress = func(tech, spec string, done, total int, cs anacache.Stats, tel telemetry.Brief) {
 		if tel.Jobs > 0 {
@@ -331,20 +331,28 @@ func TestRunnerTelemetry(t *testing.T) {
 		t.Errorf("evaluation brief jobs = %d, want %d", eval.Telemetry.Jobs, total)
 	}
 
-	// One span per job, each with the suite-qualified spec label and a
-	// non-zero duration.
-	if int64(len(sink.spans)) != total {
-		t.Fatalf("spans = %d, want %d", len(sink.spans), total)
-	}
+	// One job span per job, each with the suite-qualified spec label and a
+	// non-zero duration. Without a parent span in the context the jobs are
+	// roots whose subtrees are traced too, so only job spans are counted.
+	var jobs []telemetry.SpanRecord
 	for _, sr := range sink.spans {
-		if sr.Name != "job" || sr.Technique == "" {
+		if sr.Name == "job" {
+			jobs = append(jobs, sr)
+		}
+	}
+	if int64(len(jobs)) != total {
+		t.Fatalf("job spans = %d, want %d", len(jobs), total)
+	}
+	for _, sr := range jobs {
+		tech, spec := sr.Attrs["technique"], sr.Attrs["spec"]
+		if tech == "" {
 			t.Errorf("malformed span: %+v", sr)
 		}
-		if !strings.HasPrefix(sr.Spec, suite.Name+"/") {
-			t.Errorf("span spec %q not suite-qualified", sr.Spec)
+		if !strings.HasPrefix(spec, suite.Name+"/") {
+			t.Errorf("span spec %q not suite-qualified", spec)
 		}
 		if sr.DurationNs <= 0 {
-			t.Errorf("span %s/%s has non-positive duration %d", sr.Technique, sr.Spec, sr.DurationNs)
+			t.Errorf("span %s/%s has non-positive duration %d", tech, spec, sr.DurationNs)
 		}
 	}
 
@@ -387,11 +395,11 @@ func TestRunnerTelemetryDoesNotChangeResults(t *testing.T) {
 	// One worker makes the job-to-worker assignment deterministic: BeAFix
 	// instances carry search state across the jobs of their worker, so
 	// multi-worker runs depend on scheduling regardless of telemetry.
-	plain, err := (&Runner{Workers: 1, Seed: 3}).Evaluate(suite, factories)
+	plain, err := (&Runner{Workers: 1}).Evaluate(suite, factories)
 	if err != nil {
 		t.Fatal(err)
 	}
-	instr, err := (&Runner{Workers: 1, Seed: 3, Telemetry: telemetry.New()}).Evaluate(suite, factories)
+	instr, err := (&Runner{Workers: 1, Telemetry: telemetry.New()}).Evaluate(suite, factories)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,7 +182,6 @@ func RunStudyContext(ctx context.Context, cfg Config) (*Study, error) {
 	})
 	runner := &core.Runner{
 		Workers:    cfg.Workers,
-		Seed:       cfg.Seed,
 		Cache:      cache,
 		Telemetry:  reg,
 		Timeout:    cfg.Timeout,

@@ -195,7 +195,6 @@ wait:
 	// (or a resumed run) would have produced it.
 	runner := &core.Runner{
 		Workers:    cfg.Workers,
-		Seed:       cfg.Seed,
 		Cache:      cache,
 		Telemetry:  reg,
 		Checkpoint: journal,
@@ -274,7 +273,6 @@ func RunWorker(ctx context.Context, cfg Config, opt WorkerOptions) error {
 
 	runner := &core.Runner{
 		Workers:   cfg.Workers,
-		Seed:      cfg.Seed,
 		Cache:     cache,
 		Telemetry: reg,
 		Timeout:   cfg.Timeout,

@@ -146,7 +146,7 @@ func checkSpanTree(t *testing.T, trace []byte) {
 		if p.rec.Name != "phase" {
 			t.Fatalf("job %s parents to %q, want phase", n.rec.SpanID, p.rec.Name)
 		}
-		if n.rec.Technique == "" || n.rec.Spec == "" {
+		if n.rec.Attrs["technique"] == "" || n.rec.Attrs["spec"] == "" {
 			t.Fatalf("job span missing technique/spec: %+v", n.rec)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -300,41 +299,10 @@ func (s *Service) runJob(col *telemetry.Collector, lane int, job *Job) {
 	if t := time.Duration(job.Submission.TimeoutMs) * time.Millisecond; t > 0 && (timeout == 0 || t < timeout) {
 		timeout = t
 	}
-	ctx, cancel := s.runCtx, context.CancelFunc(func() {})
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(s.runCtx, timeout)
-	}
-	span := s.root.Child("job")
-	span.SetLane(lane + 1)
-	span.SetAttr("technique", job.Submission.Technique)
-	span.SetAttr("spec", job.ID)
-	ctx = telemetry.ContextWithSpan(ctx, span)
-
-	start := time.Now()
-	col.BeginJob()
-	out, err := s.execute(ctx, col, job)
-	cancel()
-
-	outcome := telemetry.OutcomeFailed
-	switch {
-	case err != nil:
-		outcome = telemetry.OutcomeError
-	case out.Repaired:
-		outcome = telemetry.OutcomeRepaired
-	}
-	s.reg.RecordJob(telemetry.JobRecord{
-		Span:          span,
-		Technique:     job.Submission.Technique,
-		Spec:          job.ID,
-		Start:         start,
-		Duration:      time.Since(start),
-		Outcome:       outcome,
-		Candidates:    out.Stats.CandidatesTried,
-		AnalyzerCalls: out.Stats.AnalyzerCalls,
-		TestRuns:      out.Stats.TestRuns,
-		Iterations:    out.Stats.Iterations,
-		Effort:        col.TakeJobEffort(),
-	})
+	ctx := telemetry.ContextWithSpan(s.runCtx, s.root)
+	res := core.RunJob(ctx, col, lane+1, timeout, job.Submission.Technique, job.ID,
+		func(ctx context.Context, res *core.Result) { res.Outcome, res.Err = s.execute(ctx, col, job) })
+	out, err := res.Outcome, res.Err
 
 	s.mu.Lock()
 	s.running--
@@ -375,13 +343,8 @@ func (s *Service) runJob(col *telemetry.Collector, lane int, job *Job) {
 	close(job.done)
 }
 
-// execute runs the technique behind a panic barrier.
+// execute runs the job's technique; runJob's executor guards it.
 func (s *Service) execute(ctx context.Context, col *telemetry.Collector, job *Job) (out repair.Outcome, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = errors.Join(err, &core.PanicError{Value: v, Stack: string(debug.Stack())})
-		}
-	}()
 	mod := job.mod
 	if mod == nil {
 		// Resumed from the journal: re-parse the stored source (it parsed at

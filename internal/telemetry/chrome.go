@@ -75,9 +75,6 @@ func (t *ChromeTraceWriter) Record(rec SpanRecord) {
 		Pid:  1,
 		Tid:  rec.Lane,
 	}
-	if rec.Technique != "" {
-		ev.Name = rec.Name + " " + rec.Technique
-	}
 	args := map[string]any{}
 	if rec.TraceID != "" {
 		args["trace_id"] = rec.TraceID
@@ -85,15 +82,6 @@ func (t *ChromeTraceWriter) Record(rec SpanRecord) {
 	}
 	if rec.ParentID != "" {
 		args["parent_id"] = rec.ParentID
-	}
-	if rec.Technique != "" {
-		args["technique"] = rec.Technique
-	}
-	if rec.Spec != "" {
-		args["spec"] = rec.Spec
-	}
-	if rec.Outcome != "" {
-		args["outcome"] = rec.Outcome
 	}
 	for k, v := range rec.Attrs {
 		args[k] = v

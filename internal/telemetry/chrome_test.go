@@ -19,16 +19,17 @@ func TestChromeTraceGolden(t *testing.T) {
 	cw := NewChromeTraceWriter(&buf)
 	recs := []SpanRecord{
 		{Name: "study", TraceID: "1", SpanID: "1", StartUnixNs: 1_000_000_000, DurationNs: 50_000_000},
-		{Name: "job", Technique: "ATR", Spec: "A4F/cv/0000", TraceID: "1", SpanID: "2", ParentID: "1",
-			Lane: 1, StartUnixNs: 1_001_000_000, DurationNs: 20_000_000, Outcome: OutcomeRepaired, REP: 1,
-			Candidates: 3, AnalyzerCalls: 4},
+		{Name: "job", TraceID: "1", SpanID: "2", ParentID: "1",
+			Lane: 1, StartUnixNs: 1_001_000_000, DurationNs: 20_000_000,
+			Attrs:   map[string]string{"technique": "ATR", "spec": "A4F/cv/0000", "outcome": OutcomeRepaired},
+			Metrics: map[string]int64{"rep": 1, "candidates": 3, "analyzer_calls": 4}},
 		{Name: "sat.solve", TraceID: "1", SpanID: "3", ParentID: "2", Lane: 1,
 			StartUnixNs: 1_002_000_000, DurationNs: 1_500_000,
 			Attrs:   map[string]string{"status": "SAT"},
 			Metrics: map[string]int64{"conflicts": 12, "decisions": 34}},
-		{Name: "portfolio.worker", TraceID: "1", SpanID: "4", ParentID: "2", Lane: 101,
+		{Name: "candidate.eval", TraceID: "1", SpanID: "4", ParentID: "1", Lane: 2,
 			StartUnixNs: 1_004_000_000, DurationNs: 900_000,
-			Attrs: map[string]string{"config": "ref"}},
+			Attrs: map[string]string{"path": "incremental"}},
 	}
 	for _, r := range recs {
 		cw.Record(r)

@@ -19,7 +19,7 @@ func populatedRegistry() *Registry {
 	col.TechCounter("BeAFix", "candidates").Add(7)
 	reg.SetGauge("anacache.entries", func() int64 { return 123 })
 	reg.RecordJob(JobRecord{
-		Technique: "BeAFix", Spec: "A4F/x", Start: time.Now(),
+		Technique: "BeAFix", Spec: "A4F/x",
 		Duration: 3 * time.Millisecond, Outcome: OutcomeRepaired, REP: 1,
 		Effort: col.TakeJobEffort(),
 	})

@@ -12,9 +12,7 @@ import (
 // hierarchy fields (trace/span/parent IDs) stamped by the Span tracer;
 // cmd/checktrace rejects a record without them.
 type SpanRecord struct {
-	Name      string `json:"name"`
-	Technique string `json:"technique,omitempty"`
-	Spec      string `json:"spec,omitempty"`
+	Name string `json:"name"`
 	// Hierarchy: TraceID groups one run's tree, SpanID identifies this span,
 	// ParentID is empty on roots. Lane is the display track (worker index).
 	TraceID  string `json:"trace_id,omitempty"`
@@ -22,73 +20,14 @@ type SpanRecord struct {
 	ParentID string `json:"parent_id,omitempty"`
 	Lane     int    `json:"lane,omitempty"`
 	// StartUnixNs is the span's wall-clock start (Unix nanoseconds).
-	StartUnixNs int64  `json:"start_unix_ns"`
-	DurationNs  int64  `json:"duration_ns"`
-	Outcome     string `json:"outcome,omitempty"`
-	REP         int    `json:"rep"`
+	StartUnixNs int64 `json:"start_unix_ns"`
+	DurationNs  int64 `json:"duration_ns"`
 
-	Candidates    int `json:"candidates,omitempty"`
-	AnalyzerCalls int `json:"analyzer_calls,omitempty"`
-	TestRuns      int `json:"test_runs,omitempty"`
-	Iterations    int `json:"iterations,omitempty"`
-
-	Solves          int64 `json:"solves,omitempty"`
-	Conflicts       int64 `json:"conflicts,omitempty"`
-	Decisions       int64 `json:"decisions,omitempty"`
-	Propagations    int64 `json:"propagations,omitempty"`
-	BudgetExhausted int64 `json:"budget_exhausted,omitempty"`
-	SolveNs         int64 `json:"solve_ns,omitempty"`
-	CacheHits       int64 `json:"cache_hits,omitempty"`
-	CacheMisses     int64 `json:"cache_misses,omitempty"`
-
-	IncQueries        int64 `json:"inc_queries,omitempty"`
-	IncFallbacks      int64 `json:"inc_fallbacks,omitempty"`
-	IncCarriedLearnts int64 `json:"inc_carried_learnts,omitempty"`
-
-	// Attrs and Metrics are the tracer's typed span payload (empty on job
-	// records, whose well-known fields live above).
+	// Attrs and Metrics are the span's typed payload. A "job" span carries
+	// its technique, spec and outcome as attributes and its REP verdict and
+	// effort counts as metrics (see RecordJob).
 	Attrs   map[string]string `json:"attrs,omitempty"`
 	Metrics map[string]int64  `json:"metrics,omitempty"`
-}
-
-// span converts a JobRecord into its wire form, stamping the hierarchy IDs
-// when the job ran under a trace span.
-func (jr JobRecord) span() SpanRecord {
-	rec := jr.wire()
-	if sp := jr.Span; sp != nil {
-		rec.TraceID = sp.TraceID()
-		rec.SpanID = sp.ID()
-		rec.ParentID = sp.ParentID()
-		rec.Lane = sp.Lane()
-	}
-	return rec
-}
-
-func (jr JobRecord) wire() SpanRecord {
-	return SpanRecord{
-		Name:              "job",
-		Technique:         jr.Technique,
-		Spec:              jr.Spec,
-		StartUnixNs:       jr.Start.UnixNano(),
-		DurationNs:        jr.Duration.Nanoseconds(),
-		Outcome:           jr.Outcome,
-		REP:               jr.REP,
-		Candidates:        jr.Candidates,
-		AnalyzerCalls:     jr.AnalyzerCalls,
-		TestRuns:          jr.TestRuns,
-		Iterations:        jr.Iterations,
-		Solves:            jr.Effort.Solves,
-		Conflicts:         jr.Effort.Conflicts,
-		Decisions:         jr.Effort.Decisions,
-		Propagations:      jr.Effort.Propagations,
-		BudgetExhausted:   jr.Effort.BudgetExhausted,
-		SolveNs:           jr.Effort.SolveNs,
-		CacheHits:         jr.Effort.CacheHits,
-		CacheMisses:       jr.Effort.CacheMisses,
-		IncQueries:        jr.Effort.IncQueries,
-		IncFallbacks:      jr.Effort.IncFallbacks,
-		IncCarriedLearnts: jr.Effort.IncCarriedLearnts,
-	}
 }
 
 // SpanSink receives finished spans. Implementations must be safe for

@@ -9,20 +9,20 @@ import (
 	"time"
 )
 
-// TestTraceRoundTrip writes spans through the registry's sink and decodes
-// the JSONL back into identical records.
+// TestTraceRoundTrip writes job spans through the registry's sink and
+// decodes the JSONL back into records identical to the ones emitted.
 func TestTraceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	tw := NewTraceWriter(&buf)
+	emitted := &captureSink{}
 	reg := New()
-	reg.SetSink(tw)
+	reg.SetSink(MultiSink(tw, emitted))
 
-	start := time.Unix(1700000000, 123456789)
 	records := []JobRecord{
 		{
 			Technique: "BeAFix", Spec: "A4F/classroom_inv1_1",
-			Start: start, Duration: 1500 * time.Millisecond,
-			Outcome: OutcomeRepaired, REP: 1,
+			Duration: 1500 * time.Millisecond,
+			Outcome:  OutcomeRepaired, REP: 1,
 			Candidates: 42, AnalyzerCalls: 45, TestRuns: 0, Iterations: 0,
 			Effort: JobEffort{
 				Solves: 90, Conflicts: 1234, Decisions: 5678, Propagations: 91011,
@@ -31,17 +31,32 @@ func TestTraceRoundTrip(t *testing.T) {
 		},
 		{
 			Technique: "ARepair", Spec: "ARepair/addr_1",
-			Start: start.Add(2 * time.Second), Duration: 20 * time.Millisecond,
-			Outcome: OutcomeFailed, REP: 0,
+			Duration: 20 * time.Millisecond,
+			Outcome:  OutcomeFailed, REP: 0,
 			TestRuns: 7, Iterations: 3,
 		},
 		{
 			Technique: "ATR", Spec: "A4F/graphs_1",
-			Start: start.Add(3 * time.Second), Duration: time.Millisecond,
-			Outcome: OutcomeError,
+			Duration: time.Millisecond,
+			Outcome:  OutcomeError,
 		},
 	}
+	// The payload each record must carry on the wire: zero counts are
+	// omitted, REP never is.
+	wantMetrics := []map[string]int64{
+		{"rep": 1, "candidates": 42, "analyzer_calls": 45, "solves": 90, "conflicts": 1234,
+			"decisions": 5678, "propagations": 91011, "budget_exhausted": 1,
+			"solve_ns": 900_000_000, "cache_hits": 30, "cache_misses": 15},
+		{"rep": 0, "test_runs": 7, "iterations": 3},
+		{"rep": 0},
+	}
+	var starts []int64
 	for _, jr := range records {
+		sp := reg.StartSpan("job")
+		sp.SetAttr("technique", jr.Technique)
+		sp.SetAttr("spec", jr.Spec)
+		starts = append(starts, reg.unixNs(sp.Start()))
+		jr.Span = sp
 		reg.RecordJob(jr)
 	}
 	if err := tw.Flush(); err != nil {
@@ -64,9 +79,15 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d spans, want %d", len(got), len(records))
 	}
 	for i, jr := range records {
-		want := jr.span()
-		if !reflect.DeepEqual(got[i], want) {
-			t.Errorf("span %d round-trip mismatch:\n got %+v\nwant %+v", i, got[i], want)
+		if !reflect.DeepEqual(got[i], emitted.recs[i]) {
+			t.Errorf("span %d round-trip mismatch:\n got %+v\nwant %+v", i, got[i], emitted.recs[i])
+		}
+		wantAttrs := map[string]string{"technique": jr.Technique, "spec": jr.Spec, "outcome": jr.Outcome}
+		if !reflect.DeepEqual(got[i].Attrs, wantAttrs) {
+			t.Errorf("span %d attrs = %v, want %v", i, got[i].Attrs, wantAttrs)
+		}
+		if !reflect.DeepEqual(got[i].Metrics, wantMetrics[i]) {
+			t.Errorf("span %d metrics = %v, want %v", i, got[i].Metrics, wantMetrics[i])
 		}
 	}
 
@@ -76,10 +97,10 @@ func TestTraceRoundTrip(t *testing.T) {
 	if first.Name != "job" {
 		t.Errorf("span name = %q", first.Name)
 	}
-	if first.StartUnixNs != start.UnixNano() {
-		t.Errorf("start_unix_ns = %d, want %d", first.StartUnixNs, start.UnixNano())
+	if first.StartUnixNs != starts[0] {
+		t.Errorf("start_unix_ns = %d, want %d", first.StartUnixNs, starts[0])
 	}
-	if first.DurationNs != (1500 * time.Millisecond).Nanoseconds() {
+	if first.DurationNs <= 0 {
 		t.Errorf("duration_ns = %d", first.DurationNs)
 	}
 	line := buf.Bytes()[:bytes.IndexByte(buf.Bytes(), '\n')]
@@ -100,7 +121,7 @@ func TestTraceWriterConcurrent(t *testing.T) {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 100; i++ {
-				tw.Record(SpanRecord{Name: "job", Technique: "T", REP: w})
+				tw.Record(SpanRecord{Name: "job", Attrs: map[string]string{"technique": "T"}, Metrics: map[string]int64{"rep": int64(w)}})
 			}
 		}(w)
 	}

@@ -309,7 +309,6 @@ type specAgg struct {
 type JobRecord struct {
 	Technique string
 	Spec      string
-	Start     time.Time
 	Duration  time.Duration
 	// Outcome is OutcomeRepaired, OutcomeFailed, or OutcomeError.
 	Outcome string
@@ -323,15 +322,15 @@ type JobRecord struct {
 	Iterations    int
 	// Effort is the solver/cache work attributed to this job.
 	Effort JobEffort
-	// Span, when non-nil, is the trace span covering this job. RecordJob
-	// closes it without a separate emission: the job record itself carries
-	// the span's IDs, so exactly one line per job reaches the sink.
+	// Span, when non-nil, is the job's trace span. RecordJob writes the
+	// outcome, REP and effort onto it and ends it.
 	Span *Span
 }
 
 // RecordJob folds one finished job into counters, the per-technique and
-// per-spec aggregates, the duration histograms, and the span sink.
+// per-spec aggregates and the duration histograms, then ends its span.
 func (r *Registry) RecordJob(jr JobRecord) {
+	jr.endSpan()
 	if r == nil {
 		return
 	}
@@ -380,15 +379,44 @@ func (r *Registry) RecordJob(jr JobRecord) {
 	sa.conflicts += jr.Effort.Conflicts
 	sa.solves += jr.Effort.Solves
 	r.mu.Unlock()
+}
 
-	// The span (when present) closes quietly: the job record below is its
-	// one and only emission.
-	jr.Span.closeQuiet(jr.Duration)
-	if sink := r.currentSink(); sink != nil {
-		rec := jr.span()
-		rec.StartUnixNs = r.unixNs(jr.Start)
-		sink.Record(rec)
+// endSpan writes the job's outcome as an attribute and its REP verdict and
+// effort as metrics, then ends the span. REP is always written; zero effort
+// counts are left out to keep job lines short.
+func (jr JobRecord) endSpan() {
+	sp := jr.Span
+	if sp == nil {
+		return
 	}
+	sp.SetAttr("outcome", jr.Outcome)
+	sp.SetMetric("rep", int64(jr.REP))
+	e := jr.Effort
+	for _, m := range [...]struct {
+		key string
+		v   int64
+	}{
+		{"candidates", int64(jr.Candidates)},
+		{"analyzer_calls", int64(jr.AnalyzerCalls)},
+		{"test_runs", int64(jr.TestRuns)},
+		{"iterations", int64(jr.Iterations)},
+		{"solves", e.Solves},
+		{"conflicts", e.Conflicts},
+		{"decisions", e.Decisions},
+		{"propagations", e.Propagations},
+		{"budget_exhausted", e.BudgetExhausted},
+		{"solve_ns", e.SolveNs},
+		{"cache_hits", e.CacheHits},
+		{"cache_misses", e.CacheMisses},
+		{"inc_queries", e.IncQueries},
+		{"inc_fallbacks", e.IncFallbacks},
+		{"inc_carried_learnts", e.IncCarriedLearnts},
+	} {
+		if m.v != 0 {
+			sp.SetMetric(m.key, m.v)
+		}
+	}
+	sp.End()
 }
 
 // unixNs projects t onto the registry's timeline: the registry's wall-clock

@@ -68,7 +68,6 @@ func TestConcurrentHammer(t *testing.T) {
 				reg.RecordJob(JobRecord{
 					Technique: "Hammer",
 					Spec:      "spec",
-					Start:     time.Now(),
 					Duration:  time.Microsecond,
 					Outcome:   OutcomeRepaired,
 					Effort:    eff,

@@ -215,16 +215,6 @@ func (s *Span) End() {
 	}
 }
 
-// closeQuiet closes a span whose record is emitted elsewhere (job spans: the
-// runner's JobRecord is the emission). dur is the externally measured
-// duration, so self-time accounting matches the published record.
-func (s *Span) closeQuiet(dur time.Duration) {
-	if s == nil || !s.ended.CompareAndSwap(false, true) {
-		return
-	}
-	s.finish(dur)
-}
-
 // finish propagates this span's duration into the parent's child-time
 // accumulator and, when live tracking is on, retires it from the active set
 // and folds its self time into the per-kind totals.

@@ -53,7 +53,6 @@ func TestSpanNilSafety(t *testing.T) {
 	sp.SetMetric("m", 1)
 	sp.SetLane(3)
 	sp.End()
-	sp.closeQuiet(time.Second)
 	if c := sp.Child("x"); c != nil {
 		t.Fatal("nil span produced a child")
 	}
@@ -122,12 +121,12 @@ func TestSpanTree(t *testing.T) {
 }
 
 // TestSpanConcurrentChildren fans out child spans from many goroutines on
-// one parent (the portfolio-race shape); run with -race.
+// one parent; run with -race.
 func TestSpanConcurrentChildren(t *testing.T) {
 	sink := &captureSink{}
 	reg := New()
 	reg.SetSink(sink)
-	root := reg.StartSpan("portfolio.race")
+	root := reg.StartSpan("job")
 
 	const n = 32
 	var wg sync.WaitGroup
@@ -135,7 +134,7 @@ func TestSpanConcurrentChildren(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := root.Child("portfolio.worker")
+			c := root.Child("sat.solve")
 			c.SetMetric("idx", int64(i))
 			c.End()
 		}(i)
@@ -143,24 +142,24 @@ func TestSpanConcurrentChildren(t *testing.T) {
 	wg.Wait()
 	root.End()
 
-	workers := sink.byKind("portfolio.worker")
-	if len(workers) != n {
-		t.Fatalf("got %d worker spans, want %d", len(workers), n)
+	solves := sink.byKind("sat.solve")
+	if len(solves) != n {
+		t.Fatalf("got %d sat.solve spans, want %d", len(solves), n)
 	}
 	ids := map[string]bool{}
-	for _, w := range workers {
+	for _, w := range solves {
 		if ids[w.SpanID] {
 			t.Fatalf("duplicate span ID %s", w.SpanID)
 		}
 		ids[w.SpanID] = true
 		if w.ParentID != root.ID() {
-			t.Fatalf("worker parent %s, want %s", w.ParentID, root.ID())
+			t.Fatalf("sat.solve parent %s, want %s", w.ParentID, root.ID())
 		}
 	}
 }
 
 // TestJobRecordSingleEmission checks that a job with a Span produces exactly
-// one record — the JobRecord line, stamped with the span's IDs.
+// one record — the span's own, carrying the job's outcome and REP.
 func TestJobRecordSingleEmission(t *testing.T) {
 	sink := &captureSink{}
 	reg := New()
@@ -168,10 +167,10 @@ func TestJobRecordSingleEmission(t *testing.T) {
 	root := reg.StartSpan("study")
 	job := root.Child("job")
 	job.SetLane(4)
+	job.SetAttr("technique", "ATR")
 
-	start := time.Now()
 	reg.RecordJob(JobRecord{
-		Span: job, Technique: "ATR", Spec: "s", Start: start,
+		Span: job, Technique: "ATR", Spec: "s",
 		Duration: 10 * time.Millisecond, Outcome: OutcomeRepaired, REP: 1,
 	})
 	root.End()
@@ -184,10 +183,9 @@ func TestJobRecordSingleEmission(t *testing.T) {
 	if jr.SpanID != job.ID() || jr.ParentID != root.ID() || jr.TraceID != root.ID() || jr.Lane != 4 {
 		t.Fatalf("job record not stamped with span identity: %+v", jr)
 	}
-	if jr.Technique != "ATR" || jr.Outcome != OutcomeRepaired {
+	if jr.Attrs["technique"] != "ATR" || jr.Attrs["outcome"] != OutcomeRepaired || jr.Metrics["rep"] != 1 {
 		t.Fatal("job payload lost")
 	}
-	// The quiet close still fed the parent's child-time accumulator.
 	studies := sink.byKind("study")
 	if len(studies) != 1 {
 		t.Fatalf("got %d study records, want 1", len(studies))
