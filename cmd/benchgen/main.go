@@ -7,8 +7,6 @@
 //
 //	benchgen -out ./corpus -scale 20     # 1/20-size corpora
 //	benchgen -out ./corpus               # full 1,974-spec corpora
-//	benchgen -out ./corpus -synthetic    # add the 19,800-spec synthetic
-//	                                     # stacked-fault suite (SYN)
 package main
 
 import (
@@ -34,7 +32,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("benchgen", flag.ContinueOnError)
 	out := fs.String("out", "corpus", "output directory")
 	scale := fs.Int("scale", 1, "divide corpus sizes by this factor")
-	synthetic := fs.Bool("synthetic", false, "also emit the synthetic stacked-fault suite (SYN: 3 domains, 19,800 specs at full scale, 2-3 faults each)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -47,17 +44,8 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	suites := []*bench.Suite{a4f, ar}
-	if *synthetic {
-		syn, err := gen.Synthetic()
-		if err != nil {
-			return err
-		}
-		suites = append(suites, syn)
-	}
-
 	total := 0
-	for _, suite := range suites {
+	for _, suite := range []*bench.Suite{a4f, ar} {
 		for _, spec := range suite.Specs {
 			dir := filepath.Join(*out, suite.Name, filepath.FromSlash(spec.Name))
 			if err := os.MkdirAll(dir, 0o755); err != nil {

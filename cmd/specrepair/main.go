@@ -13,8 +13,8 @@
 package main
 
 import (
+	"cmp"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -177,12 +177,7 @@ func run(args []string) error {
 
 	var checkpoint *core.Checkpoint
 	if *checkpointPath != "" {
-		if *resume {
-			checkpoint, err = core.OpenCheckpoint(*checkpointPath)
-		} else {
-			checkpoint, err = core.CreateCheckpoint(*checkpointPath)
-		}
-		if err != nil {
+		if checkpoint, err = core.OpenCheckpoint(*checkpointPath, *resume); err != nil {
 			return err
 		}
 		defer checkpoint.Close()
@@ -222,32 +217,16 @@ func run(args []string) error {
 		res := core.RunJob(ctx, col, 1, *timeout, name, path, func(ctx context.Context, res *core.Result) {
 			res.Outcome, res.Err = tool.Repair(ctx, problem)
 		})
-		out, err := res.Outcome, res.Err
-		if errors.Is(err, context.Canceled) {
-			// Interrupted legs are deliberately not journaled — the work was
-			// abandoned, not completed.
+		if res.Abandoned {
+			// An abandoned leg is not journaled; resume re-runs it.
 			if checkpoint != nil {
 				fmt.Fprintf(os.Stderr, "interrupted; rerun with -checkpoint %s -resume to continue\n", *checkpointPath)
 			}
-			return fmt.Errorf("%s: %w", name, err)
+			return fmt.Errorf("%s: %w", name, cmp.Or(ctx.Err(), res.Err))
 		}
-		// Same guard as the study runner: once the run context is dead, a
-		// leg that nominally completed may have been perturbed by it, so
-		// journal nothing and let resume re-run it.
-		if checkpoint != nil && ctx.Err() == nil {
-			rec := &core.CheckpointRecord{
-				Suite:      "specrepair",
-				Technique:  name,
-				Spec:       path,
-				Repaired:   out.Repaired,
-				Candidates: out.Stats.CandidatesTried,
-				AnalyzerC:  out.Stats.AnalyzerCalls,
-				TestRuns:   out.Stats.TestRuns,
-				Iterations: out.Stats.Iterations,
-			}
-			if err != nil {
-				rec.Err = err.Error()
-			}
+		out, err := res.Outcome, res.Err
+		if checkpoint != nil {
+			rec := core.RecordOf("specrepair", path, res)
 			if out.Repaired && out.Candidate != nil {
 				rec.Candidate = printer.Module(out.Candidate)
 			}

@@ -27,14 +27,14 @@ import (
 
 // Spec is one benchmark entry.
 type Spec struct {
-	// Benchmark is "A4F", "ARepair", or "SYN" (the synthetic stacked-fault
-	// corpus).
+	// Benchmark is "A4F" or "ARepair".
 	Benchmark string
 	// Domain is the problem domain (classroom, graphs, ..., addr, dll, ...).
 	Domain string
 	// Name uniquely identifies the entry, e.g. "classroom/0042".
 	Name string
-	// Depth is the number of injected edits (1, 2, or 3).
+	// Depth is 1 for a single injected edit and 2 for stacked edits (two,
+	// or three in the last-resort variants of large corpora).
 	Depth       int
 	Faulty      *ast.Module
 	GroundTruth *ast.Module
@@ -61,10 +61,7 @@ type domainProfile struct {
 	// deepShare in [0,1] is the fraction of variants receiving two
 	// stacked edits (the "complex faults" of the domain).
 	deepShare float64
-	// tripleShare in [0,1] is the fraction receiving three stacked edits
-	// (only the synthetic corpora use it; deepShare + tripleShare <= 1).
-	tripleShare float64
-	tests       func() *aunit.Suite
+	tests     func() *aunit.Suite
 }
 
 // Suite is a fully generated benchmark.
@@ -94,7 +91,6 @@ type Generator struct {
 	mu      sync.Mutex
 	a4f     *Suite
 	arepair *Suite
-	syn     *Suite
 }
 
 // NewGenerator returns a full-size generator backed by the given analyzer
@@ -133,27 +129,6 @@ func (g *Generator) ARepair() (*Suite, error) {
 		return nil, err
 	}
 	g.arepair = suite
-	return suite, nil
-}
-
-// Synthetic generates (once) and returns the synthetic stacked-fault suite:
-// three additional domains, an order of magnitude more specifications than
-// the two paper corpora combined, every entry carrying two or three stacked
-// faults. It exists to exercise throughput work — sharded studies, cache
-// pressure, scheduler scaling — on a corpus big enough for the numbers to
-// mean something; the paper's tables are computed from the two original
-// suites only.
-func (g *Generator) Synthetic() (*Suite, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.syn != nil {
-		return g.syn, nil
-	}
-	suite, err := g.generate("SYN", synProfiles())
-	if err != nil {
-		return nil, err
-	}
-	g.syn = suite
 	return suite, nil
 }
 

@@ -24,8 +24,7 @@ type faultEdit struct {
 // Variants are deduplicated by canonical printing. When single edits run
 // out, stacked double edits extend the pool; the deepShare fraction of the
 // corpus is drawn from the double-edit pool regardless, modeling each
-// domain's share of complex faults, and the tripleShare fraction (used by
-// the synthetic stacked-fault corpora) carries three faults.
+// domain's share of complex faults.
 func (g *Generator) inject(p domainProfile, gt *ast.Module) ([]*Spec, error) {
 	h := fnv.New64a()
 	h.Write([]byte(p.benchmark + "/" + p.domain))
@@ -99,20 +98,11 @@ func (g *Generator) inject(p domainProfile, gt *ast.Module) ([]*Spec, error) {
 		return spec
 	}
 
-	// Target mix. tripleShare > 0 (the synthetic stacked-fault corpora) caps
-	// single-edit generation at what the mix actually needs; the legacy
-	// profiles (tripleShare == 0) keep filling the single-edit pool to the
-	// full count, preserving their exact historical corpora.
 	wantDeep := int(float64(p.count)*p.deepShare + 0.5)
-	wantTriple := int(float64(p.count)*p.tripleShare + 0.5)
-	shallowTarget := p.count
-	if p.tripleShare > 0 {
-		shallowTarget = maxInt(0, p.count-wantDeep-wantTriple)
-	}
 
-	// Single edits first.
+	// Single edits first, up to the full count.
 	for _, c := range pool {
-		if len(shallow) >= shallowTarget {
+		if len(shallow) >= p.count {
 			break
 		}
 		if s := tryEdit([]faultEdit{{site: c.site, repl: c.repl}}, 1); s != nil {
@@ -121,8 +111,8 @@ func (g *Generator) inject(p domainProfile, gt *ast.Module) ([]*Spec, error) {
 	}
 
 	// Double edits: pair distinct pool entries at different sites.
-	if wantDeep > 0 || len(shallow) < shallowTarget {
-		need := wantDeep + maxInt(0, shallowTarget-len(shallow))
+	if wantDeep > 0 || len(shallow) < p.count {
+		need := wantDeep + p.count - len(shallow)
 		for i := 0; i < len(pool) && len(deep) < need; i++ {
 			for j := i + 1; j < len(pool) && len(deep) < need; j++ {
 				a, b := pool[i], pool[j]
@@ -139,35 +129,11 @@ func (g *Generator) inject(p domainProfile, gt *ast.Module) ([]*Spec, error) {
 		}
 	}
 
-	// Triple edits: the tripleShare fraction of the corpus gets three
-	// stacked faults at pairwise-distinct sites (Depth 3).
-	var triple []*Spec
-	for i := 0; i < len(pool) && len(triple) < wantTriple; i++ {
-		for j := i + 1; j < len(pool) && len(triple) < wantTriple; j++ {
-			for k := j + 1; k < len(pool) && len(triple) < wantTriple; k++ {
-				a, b, c := pool[i], pool[j], pool[k]
-				if a.site.Site.String() == b.site.Site.String() ||
-					b.site.Site.String() == c.site.Site.String() ||
-					a.site.Site.String() == c.site.Site.String() {
-					continue
-				}
-				if s := tryEdit([]faultEdit{
-					{site: a.site, repl: a.repl},
-					{site: b.site, repl: b.repl},
-					{site: c.site, repl: c.repl},
-				}, 3); s != nil {
-					triple = append(triple, s)
-				}
-			}
-		}
-	}
-
 	// Last resort for very large corpora over compact models: stack three
-	// edits at pairwise-distinct sites. (Labeled Depth 2 for the legacy
-	// profiles' historical corpora; tripleShare corpora never reach here
-	// unless their double/triple pools fell short.)
-	if len(shallow)+len(deep)+len(triple) < p.count {
-		need := p.count - len(shallow) - len(deep) - len(triple)
+	// edits at pairwise-distinct sites (labeled Depth 2, like every stacked
+	// fault).
+	if len(shallow)+len(deep) < p.count {
+		need := p.count - len(shallow) - len(deep)
 		for i := 0; i < len(pool) && need > 0; i++ {
 			for j := i + 1; j < len(pool) && need > 0; j++ {
 				for k := j + 1; k < len(pool) && need > 0; k++ {
@@ -190,17 +156,14 @@ func (g *Generator) inject(p domainProfile, gt *ast.Module) ([]*Spec, error) {
 		}
 	}
 
-	// Assemble: tripleShare of the corpus from the triple pool, deepShare
-	// from the double pool, rest shallow.
+	// Assemble: deepShare of the corpus from the double pool, rest shallow.
 	var specs []*Spec
-	useTriple := minInt(wantTriple, len(triple))
 	useDeep := minInt(wantDeep, len(deep))
-	useShallow := minInt(p.count-useDeep-useTriple, len(shallow))
+	useShallow := minInt(p.count-useDeep, len(shallow))
 	specs = append(specs, shallow[:useShallow]...)
 	specs = append(specs, deep[:useDeep]...)
-	specs = append(specs, triple[:useTriple]...)
 	// Top up from whichever pool has leftovers.
-	for _, extra := range [][]*Spec{triple[useTriple:], deep[useDeep:], shallow[useShallow:]} {
+	for _, extra := range [][]*Spec{deep[useDeep:], shallow[useShallow:]} {
 		for _, s := range extra {
 			if len(specs) >= p.count {
 				break

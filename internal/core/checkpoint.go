@@ -44,35 +44,33 @@ type Checkpoint struct {
 	mu      sync.Mutex
 	journal *Journal
 	done    map[string]*CheckpointRecord
-	path    string
 }
 
 func checkpointKey(suite, technique, spec string) string {
 	return suite + "\x00" + technique + "\x00" + spec
 }
 
-// CreateCheckpoint starts a fresh journal at path. It refuses to overwrite
-// an existing file — a leftover journal is either a run to resume (use
-// OpenCheckpoint) or stale state the operator should remove explicitly.
-func CreateCheckpoint(path string) (*Checkpoint, error) {
-	j, err := CreateJournal(path)
-	if err != nil {
-		if errors.Is(err, os.ErrExist) {
-			return nil, fmt.Errorf("checkpoint %s already exists; pass -resume to continue it or remove it to start over", path)
-		}
-		return nil, fmt.Errorf("creating checkpoint: %w", err)
-	}
-	return &Checkpoint{journal: j, done: map[string]*CheckpointRecord{}, path: path}, nil
-}
-
-// OpenCheckpoint loads an existing journal for resumption and reopens it
-// for appending. A missing file starts an empty journal (resuming a run
+// OpenCheckpoint opens the journal at path. Without resume it starts a
+// fresh journal and refuses to overwrite an existing file — a leftover
+// journal is either a run to resume or stale state the operator should
+// remove explicitly. With resume it loads the existing journal and reopens
+// it for appending; a missing file starts an empty journal (resuming a run
 // that never checkpointed is just a fresh run). A truncated final line —
 // the signature of a crash mid-append — is dropped; any other malformed
 // content is an error, since silently skipping records would desynchronize
 // the resumed run from the journal.
-func OpenCheckpoint(path string) (*Checkpoint, error) {
+func OpenCheckpoint(path string, resume bool) (*Checkpoint, error) {
 	done := map[string]*CheckpointRecord{}
+	if !resume {
+		j, err := CreateJournal(path)
+		if errors.Is(err, os.ErrExist) {
+			return nil, fmt.Errorf("checkpoint %s already exists; pass -resume to continue it or remove it to start over", path)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("creating checkpoint: %w", err)
+		}
+		return &Checkpoint{journal: j, done: done}, nil
+	}
 	j, err := OpenJournal(path, func(line []byte) error {
 		rec := &CheckpointRecord{}
 		if err := json.Unmarshal(line, rec); err != nil {
@@ -84,7 +82,7 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	return &Checkpoint{journal: j, done: done, path: path}, nil
+	return &Checkpoint{journal: j, done: done}, nil
 }
 
 // NewMemoryCheckpoint returns a journal that records only in memory, with
@@ -134,19 +132,15 @@ func (c *Checkpoint) Close() error {
 	return c.journal.Close()
 }
 
-// RecordOf converts one evaluation result into its journal form — the wire
-// payload a sharded-study worker posts back to the coordinator for each
-// completed job.
-func RecordOf(suite string, res *Result) *CheckpointRecord {
-	return checkpointRecordOf(suite, res)
-}
-
-// record converts one evaluation result into its journal form.
-func checkpointRecordOf(suite string, res *Result) *CheckpointRecord {
+// RecordOf converts one evaluation result for the named spec into its
+// journal form. The runner journals it, a sharded-study worker posts it back
+// to the coordinator, and the specrepair CLI journals it with the printed
+// candidate added.
+func RecordOf(suite, spec string, res *Result) *CheckpointRecord {
 	rec := &CheckpointRecord{
 		Suite:      suite,
 		Technique:  res.Technique,
-		Spec:       res.Spec.Name,
+		Spec:       spec,
 		Repaired:   res.Outcome.Repaired,
 		REP:        res.REP,
 		TM:         res.TM,

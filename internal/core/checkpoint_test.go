@@ -30,7 +30,7 @@ func truncateJournal(t *testing.T, path string, n int) {
 
 func TestCheckpointRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	c, err := CreateCheckpoint(path)
+	c, err := OpenCheckpoint(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestCheckpointRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	o, err := OpenCheckpoint(path)
+	o, err := OpenCheckpoint(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestCheckpointKeyIsUnambiguous(t *testing.T) {
 	// Plain concatenation would collide ("ab"+"c" vs "a"+"bc"); the NUL
 	// separator must keep these distinct.
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	c, err := CreateCheckpoint(path)
+	c, err := OpenCheckpoint(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestCreateCheckpointRefusesExisting(t *testing.T) {
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := CreateCheckpoint(path)
+	_, err := OpenCheckpoint(path, false)
 	if err == nil {
 		t.Fatal("must refuse to clobber an existing journal")
 	}
@@ -101,7 +101,7 @@ func TestCreateCheckpointRefusesExisting(t *testing.T) {
 
 func TestOpenCheckpointMissingFileIsEmpty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "nope.jsonl")
-	c, err := OpenCheckpoint(path)
+	c, err := OpenCheckpoint(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestOpenCheckpointDropsTornFinalLine(t *testing.T) {
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c, err := OpenCheckpoint(path)
+	c, err := OpenCheckpoint(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestOpenCheckpointRejectsCorruptRecord(t *testing.T) {
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenCheckpoint(path); err == nil {
+	if _, err := OpenCheckpoint(path, true); err == nil {
 		t.Fatal("a corrupt complete record must fail loudly, not be skipped")
 	}
 }

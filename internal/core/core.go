@@ -185,6 +185,12 @@ type Result struct {
 	TM  float64
 	SM  float64
 	Err error
+	// Abandoned reports that the job did not complete: its caller's context
+	// was done when the technique returned, or the technique reported
+	// context.Canceled. RunJob sets it; an abandoned result is never
+	// journaled, posted or finalized, so resume re-runs the job. A per-job
+	// timeout is a completed (errored) job, not an abandoned one.
+	Abandoned bool
 }
 
 // Evaluation holds the full grid of results for one benchmark suite.
@@ -276,8 +282,8 @@ type Runner struct {
 	Timeout time.Duration
 	// Checkpoint, when non-nil, journals each completed job and serves
 	// already-journaled (suite, technique, spec) jobs on later runs without
-	// re-running them — the resume path after an interrupt or crash. Jobs
-	// abandoned because the whole run was cancelled are never journaled.
+	// re-running them — the resume path after an interrupt or crash.
+	// Abandoned jobs (Result.Abandoned) are never journaled.
 	Checkpoint *Checkpoint
 }
 
@@ -348,29 +354,13 @@ func (r *Runner) EvaluateContext(ctx context.Context, suite *bench.Suite, factor
 		}
 	}
 
-	results := r.runPool(ctx, workers, pending)
-
-	cancelled := r.Telemetry.Counter(telemetry.CtrJobCancelled)
 	var checkpointErr error
-	for er := range results {
+	for er := range r.runPool(ctx, workers, pending) {
 		res := er.res
 		record(res)
-		// Canceled can only come from the run-wide context (job contexts are
-		// deadline-only), so those jobs were abandoned, not completed, and
-		// must not be journaled — resume re-runs them.
-		wasCancelled := errors.Is(res.Err, context.Canceled)
-		if wasCancelled {
-			cancelled.Inc()
-		}
-		// Journal only while the run-wide context is live. A job finishing
-		// after cancellation may have been perturbed by the dead context in
-		// ways that don't surface as Canceled (an oracle query failing fast
-		// inside a technique that tolerates oracle errors), so its result is
-		// not guaranteed to match a clean run's; dropping it merely makes
-		// resume re-run it. Results drained before cancellation necessarily
-		// completed unperturbed.
-		if r.Checkpoint != nil && !wasCancelled && ctx.Err() == nil && checkpointErr == nil {
-			checkpointErr = r.Checkpoint.Append(checkpointRecordOf(suite.Name, res))
+		// Abandoned jobs are not journaled, so resume re-runs them.
+		if r.Checkpoint != nil && !res.Abandoned && checkpointErr == nil {
+			checkpointErr = r.Checkpoint.Append(RecordOf(suite.Name, res.Spec.Name, res))
 		}
 	}
 	eval.CacheStats = r.cacheStats()

@@ -125,7 +125,7 @@ func TestRunnerCancellationStopsRunAndSkipsJournal(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ckptPath := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	ckpt, err := CreateCheckpoint(ckptPath)
+	ckpt, err := OpenCheckpoint(ckptPath, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestRunnerCheckpointResume(t *testing.T) {
 		}
 	}
 	ckptPath := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	ckpt, err := CreateCheckpoint(ckptPath)
+	ckpt, err := OpenCheckpoint(ckptPath, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestRunnerCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, err := OpenCheckpoint(ckptPath)
+	reopened, err := OpenCheckpoint(ckptPath, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestRunnerResumeAfterInterrupt(t *testing.T) {
 		}
 	}
 	ckptPath := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	ckpt, err := CreateCheckpoint(ckptPath)
+	ckpt, err := OpenCheckpoint(ckptPath, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestRunnerResumeAfterInterrupt(t *testing.T) {
 	// on-disk state after a kill mid-append.
 	truncateJournal(t, ckptPath, ckpt.Len()/2)
 
-	reopened, err := OpenCheckpoint(ckptPath)
+	reopened, err := OpenCheckpoint(ckptPath, true)
 	if err != nil {
 		t.Fatal(err)
 	}

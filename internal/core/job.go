@@ -32,10 +32,15 @@ func (e *PanicError) Error() string { return fmt.Sprintf("technique panicked: %v
 // attributes. The job's solver and cache effort is read from col, the
 // worker's collector, so col must run one job at a time. A panic in body is
 // recovered and joined onto Result.Err as a *PanicError. The job is then
-// classified, counted as a timeout or a recovered panic where it was one,
-// and recorded on col's registry, which ends the span.
+// classified, counted as a timeout, a recovered panic or a cancellation
+// where it was one, and recorded on col's registry, which ends the span.
+//
+// RunJob alone decides whether the job completed or was abandoned; see
+// Result.Abandoned. Every client journals, posts or finalizes a job only
+// when it was not abandoned.
 func RunJob(ctx context.Context, col *telemetry.Collector, lane int, timeout time.Duration, technique, spec string, body func(ctx context.Context, res *Result)) *Result {
 	reg := col.Registry()
+	caller := ctx
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -62,6 +67,13 @@ func RunJob(ctx context.Context, col *telemetry.Collector, lane int, timeout tim
 		body(ctx, res)
 	}()
 	dur := time.Since(start)
+	// Once the caller's context is dead, a body that nominally completed may
+	// have been perturbed by it in ways that do not surface as Canceled (an
+	// oracle query failing fast inside a technique that tolerates oracle
+	// errors), so its result is not guaranteed to match a clean run's.
+	// Canceled can only come from the caller's context, since the job's own
+	// context carries a deadline only.
+	res.Abandoned = caller.Err() != nil || errors.Is(res.Err, context.Canceled)
 
 	outcome := telemetry.OutcomeFailed
 	switch {
@@ -70,11 +82,13 @@ func RunJob(ctx context.Context, col *telemetry.Collector, lane int, timeout tim
 	case res.Outcome.Repaired:
 		outcome = telemetry.OutcomeRepaired
 	}
-	// A job deadline surfaces as DeadlineExceeded. Canceled can only come
-	// from the caller's context, so such a job was abandoned, not timed out;
-	// the caller decides what an abandoned job means.
+	// A job deadline surfaces as DeadlineExceeded; a job that also carries
+	// Canceled was abandoned, not timed out.
 	if errors.Is(res.Err, context.DeadlineExceeded) && !errors.Is(res.Err, context.Canceled) {
 		reg.Counter(telemetry.CtrJobTimeouts).Inc()
+	}
+	if res.Abandoned {
+		reg.Counter(telemetry.CtrJobCancelled).Inc()
 	}
 	var pe *PanicError
 	if errors.As(res.Err, &pe) {

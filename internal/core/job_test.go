@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -48,6 +49,13 @@ func TestRunJobTimeout(t *testing.T) {
 	if got := reg.CounterValue(telemetry.CtrJobTimeouts); got != 1 {
 		t.Errorf("timeout counter = %d, want 1", got)
 	}
+	// A per-job timeout under a live caller is a completed, errored job.
+	if res.Abandoned {
+		t.Error("timed-out job is abandoned")
+	}
+	if got := reg.CounterValue(telemetry.CtrJobCancelled); got != 0 {
+		t.Errorf("cancelled counter = %d after a timeout, want 0", got)
+	}
 
 	// A job abandoned because the caller's context was cancelled is not a
 	// timeout, even when its error also carries a deadline.
@@ -55,11 +63,59 @@ func TestRunJobTimeout(t *testing.T) {
 	cancel()
 	res = RunJob(ctx, telemetry.NewCollector(reg), 1, time.Minute, "T", "S/b",
 		func(ctx context.Context, res *Result) { res.Err = errors.Join(context.DeadlineExceeded, ctx.Err()) })
-	if !errors.Is(res.Err, context.Canceled) {
-		t.Fatalf("err = %v, want Canceled", res.Err)
+	if !errors.Is(res.Err, context.Canceled) || !res.Abandoned {
+		t.Fatalf("err = %v, abandoned = %v, want Canceled and abandoned", res.Err, res.Abandoned)
 	}
 	if got := reg.CounterValue(telemetry.CtrJobTimeouts); got != 1 {
 		t.Errorf("timeout counter = %d after a cancelled job, want 1", got)
+	}
+}
+
+func TestRunJobAbandonment(t *testing.T) {
+	// The parent is cancelled while the body runs. Whether the body reports
+	// the cancellation or swallows it and returns a clean result, the job
+	// did not complete under a live context and is abandoned.
+	for _, swallow := range []bool{false, true} {
+		reg := telemetry.New()
+		ctx, cancel := context.WithCancel(context.Background())
+		res := RunJob(ctx, telemetry.NewCollector(reg), 1, time.Minute, "T", "S/a",
+			func(ctx context.Context, res *Result) {
+				cancel()
+				<-ctx.Done()
+				if !swallow {
+					res.Err = ctx.Err()
+				}
+			})
+		if !res.Abandoned {
+			t.Errorf("swallow=%v: parent cancelled mid-body, but the job is not abandoned", swallow)
+		}
+		if got := reg.CounterValue(telemetry.CtrJobCancelled); got != 1 {
+			t.Errorf("swallow=%v: cancelled counter = %d, want 1", swallow, got)
+		}
+		if got := reg.CounterValue(telemetry.CtrJobTimeouts); got != 0 {
+			t.Errorf("swallow=%v: timeout counter = %d, want 0", swallow, got)
+		}
+	}
+
+	// A body reporting Canceled is abandoned even under a live parent.
+	reg := telemetry.New()
+	res := RunJob(context.Background(), telemetry.NewCollector(reg), 1, 0, "T", "S/b",
+		func(ctx context.Context, res *Result) { res.Err = fmt.Errorf("oracle: %w", context.Canceled) })
+	if !res.Abandoned {
+		t.Error("a job reporting Canceled is not abandoned")
+	}
+
+	// A body that returns before the parent is cancelled completed.
+	reg = telemetry.New()
+	ctx, cancel := context.WithCancel(context.Background())
+	res = RunJob(ctx, telemetry.NewCollector(reg), 1, 0, "T", "S/c",
+		func(ctx context.Context, res *Result) { res.Outcome.Repaired = true })
+	cancel()
+	if res.Abandoned {
+		t.Error("a job that returned before its parent was cancelled is abandoned")
+	}
+	if got := reg.CounterValue(telemetry.CtrJobCancelled); got != 0 {
+		t.Errorf("cancelled counter = %d, want 0", got)
 	}
 }
 

@@ -108,12 +108,19 @@ func RunStudy(cfg Config) (*Study, error) {
 	return RunStudyContext(context.Background(), cfg)
 }
 
-// RunStudyContext executes the study under the given configuration and
-// context. Cancelling ctx (e.g. from a SIGINT handler) stops the run
-// gracefully: in-flight jobs are cancelled, completed work stays journaled
-// when a checkpoint is configured, and the partial study is returned with
-// the context's error.
-func RunStudyContext(ctx context.Context, cfg Config) (*Study, error) {
+// studyRun is the setup every study role shares — the single-process
+// study, the sharded coordinator and each sharded worker: the analysis
+// cache (exposed as anacache.* gauges), the root "study" span, and the
+// twelve technique factories bound to that cache.
+type studyRun struct {
+	*Study
+	root      *telemetry.Span
+	factories []core.Factory
+}
+
+// startStudy builds the shared setup for one study role. The caller adds
+// its role attributes to the root span and ends it.
+func startStudy(cfg Config) *studyRun {
 	var cache *anacache.Cache
 	if !cfg.DisableCache {
 		cache = anacache.New(cfg.CacheCapacity)
@@ -126,25 +133,64 @@ func RunStudyContext(ctx context.Context, cfg Config) (*Study, error) {
 		reg.SetGauge("anacache.misses", func() int64 { return cache.Stats().Misses })
 		reg.SetGauge("anacache.evictions", func() int64 { return cache.Stats().Evictions })
 	}
-	study := &Study{Cache: cache, Telemetry: reg}
-	progress := cfg.Progress
-
 	// Root of the run's causal trace (nil — and free — without a span sink):
 	// study → phase → job → technique rounds → candidate evals → SAT solves.
 	root := reg.StartSpan("study")
 	root.SetAttr("seed", fmt.Sprint(cfg.Seed))
 	root.SetAttr("scale", fmt.Sprint(cfg.Scale))
-	defer root.End()
+	return &studyRun{
+		Study: &Study{Cache: cache, Telemetry: reg},
+		root:  root,
+		factories: core.StudyFactoriesWith(cfg.Seed, core.FactoryOptions{
+			Cache:              cache,
+			DisableIncremental: cfg.DisableIncremental,
+		}),
+	}
+}
+
+// generateCorpus deterministically regenerates both benchmark suites,
+// divided by scale, under a "generate" phase span. Every study role runs it
+// independently with the same Config; in a sharded study the digest check
+// guarantees they all arrived at the same corpus. Generation is sequential,
+// so one collector covers the whole phase. Binding the generator's analyzer
+// to ctx makes even this phase interruptible (generation is deterministic
+// and cheap relative to evaluation, so it is re-done rather than
+// checkpointed on resume).
+func (s *studyRun) generateCorpus(ctx context.Context, scale int) (a4f, ar *bench.Suite, err error) {
+	span := s.root.Child("phase")
+	span.SetAttr("name", "generate")
+	gen := bench.NewGenerator(analyzer.New(analyzer.Options{
+		Cache:     s.Cache,
+		Telemetry: telemetry.NewCollector(s.Telemetry),
+	}).WithContext(telemetry.ContextWithSpan(ctx, span)))
+	if scale > 1 {
+		gen.Scale = scale
+	}
+	start := time.Now()
+	a4f, ar, err = gen.Both()
+	span.End()
+	if err != nil {
+		return nil, nil, fmt.Errorf("generating benchmarks: %w", err)
+	}
+	s.AddPhase("generate", time.Since(start))
+	return a4f, ar, nil
+}
+
+// RunStudyContext executes the study under the given configuration and
+// context. Cancelling ctx (e.g. from a SIGINT handler) stops the run
+// gracefully: in-flight jobs are cancelled, completed work stays journaled
+// when a checkpoint is configured, and the partial study is returned with
+// the context's error.
+func RunStudyContext(ctx context.Context, cfg Config) (*Study, error) {
+	run := startStudy(cfg)
+	defer run.root.End()
+	study, factories := run.Study, run.factories
+	progress := cfg.Progress
 
 	var checkpoint *core.Checkpoint
 	if cfg.CheckpointPath != "" {
 		var err error
-		if cfg.Resume {
-			checkpoint, err = core.OpenCheckpoint(cfg.CheckpointPath)
-		} else {
-			checkpoint, err = core.CreateCheckpoint(cfg.CheckpointPath)
-		}
-		if err != nil {
+		if checkpoint, err = core.OpenCheckpoint(cfg.CheckpointPath, cfg.Resume); err != nil {
 			return nil, err
 		}
 		defer checkpoint.Close()
@@ -153,37 +199,17 @@ func RunStudyContext(ctx context.Context, cfg Config) (*Study, error) {
 		}
 	}
 
-	// Generation is sequential, so one collector covers the whole phase.
-	// Binding the generator's analyzer to ctx makes even this phase
-	// interruptible (generation is deterministic and cheap relative to
-	// evaluation, so it is re-done rather than checkpointed on resume).
-	genSpan := root.Child("phase")
-	genSpan.SetAttr("name", "generate")
-	gen := bench.NewGenerator(analyzer.New(analyzer.Options{
-		Cache:     cache,
-		Telemetry: telemetry.NewCollector(reg),
-	}).WithContext(telemetry.ContextWithSpan(ctx, genSpan)))
-	if cfg.Scale > 1 {
-		gen.Scale = cfg.Scale
-	}
 	if progress != nil {
 		progress("generating benchmark corpora")
 	}
-	phaseStart := time.Now()
-	a4f, ar, err := gen.Both()
-	genSpan.End()
+	a4f, ar, err := run.generateCorpus(ctx, cfg.Scale)
 	if err != nil {
-		return nil, fmt.Errorf("generating benchmarks: %w", err)
+		return nil, err
 	}
-	study.AddPhase("generate", time.Since(phaseStart))
-	factories := core.StudyFactoriesWith(cfg.Seed, core.FactoryOptions{
-		Cache:              cache,
-		DisableIncremental: cfg.DisableIncremental,
-	})
 	runner := &core.Runner{
 		Workers:    cfg.Workers,
-		Cache:      cache,
-		Telemetry:  reg,
+		Cache:      study.Cache,
+		Telemetry:  study.Telemetry,
 		Timeout:    cfg.Timeout,
 		Checkpoint: checkpoint,
 	}
@@ -204,8 +230,8 @@ func RunStudyContext(ctx context.Context, cfg Config) (*Study, error) {
 		}
 		progress(fmt.Sprintf("evaluating %d techniques x %d A4F specs", len(factories), len(a4f.Specs)))
 	}
-	phaseStart = time.Now()
-	a4fSpan := root.Child("phase")
+	phaseStart := time.Now()
+	a4fSpan := run.root.Child("phase")
 	a4fSpan.SetAttr("name", "evaluate_a4f")
 	a4fEval, err := runner.EvaluateContext(telemetry.ContextWithSpan(ctx, a4fSpan), a4f, factories)
 	a4fSpan.End()
@@ -217,7 +243,7 @@ func RunStudyContext(ctx context.Context, cfg Config) (*Study, error) {
 		progress(fmt.Sprintf("evaluating %d techniques x %d ARepair specs", len(factories), len(ar.Specs)))
 	}
 	phaseStart = time.Now()
-	arSpan := root.Child("phase")
+	arSpan := run.root.Child("phase")
 	arSpan.SetAttr("name", "evaluate_arepair")
 	arEval, err := runner.EvaluateContext(telemetry.ContextWithSpan(ctx, arSpan), ar, factories)
 	arSpan.End()

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"specrepair/internal/anacache"
-	"specrepair/internal/analyzer"
 	"specrepair/internal/bench"
 	"specrepair/internal/core"
 	"specrepair/internal/shard"
@@ -42,24 +40,6 @@ type WorkerOptions struct {
 	ID string
 }
 
-// generateCorpus deterministically regenerates both benchmark suites. The
-// coordinator and every worker run it independently with the same Config;
-// the study digest check guarantees they all arrived at the same corpus.
-func generateCorpus(ctx context.Context, cfg Config, cache *anacache.Cache, reg *telemetry.Registry) (*bench.Suite, *bench.Suite, error) {
-	gen := bench.NewGenerator(analyzer.New(analyzer.Options{
-		Cache:     cache,
-		Telemetry: telemetry.NewCollector(reg),
-	}).WithContext(ctx))
-	if cfg.Scale > 1 {
-		gen.Scale = cfg.Scale
-	}
-	a4f, ar, err := gen.Both()
-	if err != nil {
-		return nil, nil, fmt.Errorf("generating benchmarks: %w", err)
-	}
-	return a4f, ar, nil
-}
-
 func factoryNames(fs []core.Factory) []string {
 	names := make([]string, len(fs))
 	for i, f := range fs {
@@ -80,67 +60,45 @@ func factoryNames(fs []core.Factory) []string {
 // The coordinator evaluates no jobs itself — run a worker process (or
 // several) against the printed address.
 func RunCoordinator(ctx context.Context, cfg Config, opt CoordinatorOptions) (*Study, error) {
-	var cache *anacache.Cache
-	if !cfg.DisableCache {
-		cache = anacache.New(cfg.CacheCapacity)
-	}
-	reg := cfg.Telemetry
-	study := &Study{Cache: cache, Telemetry: reg}
+	run := startStudy(cfg)
+	run.root.SetAttr("role", "coordinator")
+	defer run.root.End()
+	study, factories := run.Study, run.factories
 	progress := cfg.Progress
 
-	root := reg.StartSpan("study")
-	root.SetAttr("seed", fmt.Sprint(cfg.Seed))
-	root.SetAttr("scale", fmt.Sprint(cfg.Scale))
-	root.SetAttr("role", "coordinator")
-	defer root.End()
-
-	if progress != nil {
-		progress("generating benchmark corpora")
-	}
-	genSpan := root.Child("phase")
-	genSpan.SetAttr("name", "generate")
-	phaseStart := time.Now()
-	a4f, ar, err := generateCorpus(telemetry.ContextWithSpan(ctx, genSpan), cfg, cache, reg)
-	genSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	study.AddPhase("generate", time.Since(phaseStart))
-
-	factories := core.StudyFactoriesWith(cfg.Seed, core.FactoryOptions{
-		Cache:              cache,
-		DisableIncremental: cfg.DisableIncremental,
-	})
-	techniques := factoryNames(factories)
-	digest := shard.StudyDigest(cfg.Seed, techniques, a4f, ar)
-	jobs := shard.JobList([]*bench.Suite{a4f, ar}, techniques)
-
-	var journal *core.Checkpoint
+	// Without -checkpoint the journal is memory-only: completions still flow
+	// through the same journal-and-replay path, they just don't survive a
+	// coordinator crash. It is opened before generation, as in the
+	// single-process study, so a refused checkpoint fails fast.
+	journal := core.NewMemoryCheckpoint()
 	if cfg.CheckpointPath != "" {
-		if cfg.Resume {
-			journal, err = core.OpenCheckpoint(cfg.CheckpointPath)
-		} else {
-			journal, err = core.CreateCheckpoint(cfg.CheckpointPath)
-		}
-		if err != nil {
+		var err error
+		if journal, err = core.OpenCheckpoint(cfg.CheckpointPath, cfg.Resume); err != nil {
 			return nil, err
 		}
 		defer journal.Close()
 		if cfg.Resume && progress != nil {
 			progress(fmt.Sprintf("resuming: %d jobs already journaled", journal.Len()))
 		}
-	} else {
-		// Without -checkpoint the journal is memory-only: completions still
-		// flow through the same journal-and-replay path, they just don't
-		// survive a coordinator crash.
-		journal = core.NewMemoryCheckpoint()
 	}
+
+	if progress != nil {
+		progress("generating benchmark corpora")
+	}
+	a4f, ar, err := run.generateCorpus(ctx, cfg.Scale)
+	if err != nil {
+		return nil, err
+	}
+
+	techniques := factoryNames(factories)
+	digest := shard.StudyDigest(cfg.Seed, techniques, a4f, ar)
+	jobs := shard.JobList([]*bench.Suite{a4f, ar}, techniques)
 
 	board := shard.NewBoard(jobs, shard.BoardOptions{
 		TTL:       opt.LeaseTTL,
 		ChunkSize: opt.ChunkSize,
 		Journal:   journal,
-		Telemetry: reg,
+		Telemetry: study.Telemetry,
 	})
 	coord, err := shard.Serve(opt.Addr, digest, board)
 	if err != nil {
@@ -157,9 +115,9 @@ func RunCoordinator(ctx context.Context, cfg Config, opt CoordinatorOptions) (*S
 		progress(fmt.Sprintf("start workers with: experiments -worker http://%s", coord.Addr()))
 	}
 
-	shardSpan := root.Child("phase")
+	shardSpan := run.root.Child("phase")
 	shardSpan.SetAttr("name", "shard")
-	phaseStart = time.Now()
+	phaseStart := time.Now()
 	ticker := time.NewTicker(5 * time.Second)
 	defer ticker.Stop()
 wait:
@@ -195,12 +153,12 @@ wait:
 	// (or a resumed run) would have produced it.
 	runner := &core.Runner{
 		Workers:    cfg.Workers,
-		Cache:      cache,
-		Telemetry:  reg,
+		Cache:      study.Cache,
+		Telemetry:  study.Telemetry,
 		Checkpoint: journal,
 	}
 	phaseStart = time.Now()
-	asmSpan := root.Child("phase")
+	asmSpan := run.root.Child("phase")
 	asmSpan.SetAttr("name", "assemble")
 	asmCtx := telemetry.ContextWithSpan(ctx, asmSpan)
 	a4fEval, err := runner.EvaluateContext(asmCtx, a4f, factories)
@@ -241,31 +199,20 @@ func RunWorker(ctx context.Context, cfg Config, opt WorkerOptions) error {
 	if opt.ID == "" {
 		opt.ID = "worker"
 	}
-	var cache *anacache.Cache
-	if !cfg.DisableCache {
-		cache = anacache.New(cfg.CacheCapacity)
-	}
-	reg := cfg.Telemetry
+	run := startStudy(cfg)
+	run.root.SetAttr("role", "worker")
+	run.root.SetAttr("worker", opt.ID)
+	defer run.root.End()
+	factories := run.factories
 	progress := cfg.Progress
-
-	root := reg.StartSpan("study")
-	root.SetAttr("seed", fmt.Sprint(cfg.Seed))
-	root.SetAttr("scale", fmt.Sprint(cfg.Scale))
-	root.SetAttr("role", "worker")
-	root.SetAttr("worker", opt.ID)
-	defer root.End()
 
 	if progress != nil {
 		progress(fmt.Sprintf("worker %s: generating benchmark corpora", opt.ID))
 	}
-	a4f, ar, err := generateCorpus(telemetry.ContextWithSpan(ctx, root), cfg, cache, reg)
+	a4f, ar, err := run.generateCorpus(ctx, cfg.Scale)
 	if err != nil {
 		return err
 	}
-	factories := core.StudyFactoriesWith(cfg.Seed, core.FactoryOptions{
-		Cache:              cache,
-		DisableIncremental: cfg.DisableIncremental,
-	})
 	techniques := factoryNames(factories)
 	suites := []*bench.Suite{a4f, ar}
 	digest := shard.StudyDigest(cfg.Seed, techniques, a4f, ar)
@@ -273,8 +220,8 @@ func RunWorker(ctx context.Context, cfg Config, opt WorkerOptions) error {
 
 	runner := &core.Runner{
 		Workers:   cfg.Workers,
-		Cache:     cache,
-		Telemetry: reg,
+		Cache:     run.Cache,
+		Telemetry: run.Telemetry,
 		Timeout:   cfg.Timeout,
 	}
 
@@ -293,18 +240,16 @@ func RunWorker(ctx context.Context, cfg Config, opt WorkerOptions) error {
 			for i, ref := range refs {
 				index[ref] = start + i
 			}
-			runCtx = telemetry.ContextWithSpan(runCtx, root)
+			runCtx = telemetry.ContextWithSpan(runCtx, run.root)
 			var emitErr error
 			err := runner.EvaluateJobs(runCtx, suites, factories, refs, func(suite string, res *core.Result) {
-				// Mirror the single-process journaling guard: a job abandoned
-				// by cancellation (lease revoked, worker shutting down) may
-				// have been perturbed by the dead context, so its record is
-				// never posted — the coordinator re-dispatches it.
-				if emitErr != nil || errors.Is(res.Err, context.Canceled) || runCtx.Err() != nil {
+				// An abandoned job (lease revoked, worker shutting down) is
+				// never posted; the coordinator re-dispatches it.
+				if emitErr != nil || res.Abandoned {
 					return
 				}
 				ref := core.JobRef{Suite: suite, Technique: res.Technique, Spec: res.Spec.Name}
-				if err := emit(index[ref], core.RecordOf(suite, res)); err != nil && !errors.Is(err, context.Canceled) {
+				if err := emit(index[ref], core.RecordOf(suite, res.Spec.Name, res)); err != nil && !errors.Is(err, context.Canceled) {
 					emitErr = fmt.Errorf("posting completion for %s/%s/%s: %w", suite, res.Technique, res.Spec.Name, err)
 				}
 			})

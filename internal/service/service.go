@@ -306,14 +306,12 @@ func (s *Service) runJob(col *telemetry.Collector, lane int, job *Job) {
 
 	s.mu.Lock()
 	s.running--
-	if s.runCtx.Err() != nil {
+	if res.Abandoned {
 		// Hard stop: the run context died while this job was in flight, so
-		// whatever execute returned — a wrapped or swallowed cancellation, a
-		// different error, even a nil-error partial outcome — may have been
-		// perturbed by the dead context and cannot be trusted as terminal.
-		// Leave the job journaled as submitted-only so a restarted daemon
-		// re-runs it cleanly (techniques are deterministic per seed, so the
-		// re-run reproduces the same result).
+		// whatever execute returned cannot be trusted as terminal. Leave the
+		// job journaled as submitted-only so a restarted daemon re-runs it
+		// cleanly (techniques are deterministic per seed, so the re-run
+		// reproduces the same result).
 		job.state = StateQueued
 		job.started = time.Time{}
 		s.mu.Unlock()

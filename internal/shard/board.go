@@ -68,7 +68,6 @@ func (l *lease) remaining(state []jobState) []int {
 type Board struct {
 	mu        sync.Mutex
 	jobs      []core.JobRef
-	index     map[core.JobRef]int
 	state     []jobState
 	cover     []int // number of live leases covering each job
 	leases    map[int64]*lease
@@ -103,7 +102,6 @@ func NewBoard(jobs []core.JobRef, o BoardOptions) *Board {
 	}
 	b := &Board{
 		jobs:    jobs,
-		index:   make(map[core.JobRef]int, len(jobs)),
 		state:   make([]jobState, len(jobs)),
 		cover:   make([]int, len(jobs)),
 		leases:  map[int64]*lease{},
@@ -120,9 +118,6 @@ func NewBoard(jobs []core.JobRef, o BoardOptions) *Board {
 		ctrDuplicates: o.Telemetry.Counter(telemetry.CtrShardDuplicates),
 		ctrHeartbeats: o.Telemetry.Counter(telemetry.CtrShardHeartbeats),
 		ctrRejected:   o.Telemetry.Counter(telemetry.CtrShardRejected),
-	}
-	for i, j := range b.jobs {
-		b.index[j] = i
 	}
 	for i, j := range b.jobs {
 		if b.journal != nil && b.journal.Lookup(j.Suite, j.Technique, j.Spec) != nil {
@@ -178,20 +173,16 @@ func (b *Board) reapExpired() {
 // Lease grants a contiguous range of jobs to the worker. It prefers fresh
 // pending ranges; when none exist it steals the uncompleted remainder of
 // the straggler lease closest to expiry (at most one duplicate grant per
-// lease at a time). The returned count is 0 when no work is available:
-// done reports whether the whole study has completed, and the worker should
-// retry later otherwise.
-func (b *Board) Lease(worker string, max int) (id int64, start, count int, done bool) {
+// lease at a time). A grant covers at most the chunk size. The returned
+// count is 0 when no work is available: done reports whether the whole
+// study has completed, and the worker should retry later otherwise.
+func (b *Board) Lease(worker string) (id int64, start, count int, done bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.reapExpired()
 	if b.doneCount == len(b.jobs) {
 		return 0, 0, 0, true
 	}
-	if max <= 0 || max > b.chunk {
-		max = b.chunk
-	}
-
 	grant := func(start, count int, stolen bool) (int64, int, int, bool) {
 		b.nextLease++
 		l := &lease{
@@ -222,7 +213,7 @@ func (b *Board) Lease(worker string, max int) (id int64, start, count int, done 
 			continue
 		}
 		n := 0
-		for i+n < len(b.state) && n < max && b.state[i+n] == statePending {
+		for i+n < len(b.state) && n < b.chunk && b.state[i+n] == statePending {
 			n++
 		}
 		return grant(i, n, false)
@@ -245,7 +236,7 @@ func (b *Board) Lease(worker string, max int) (id int64, start, count int, done 
 		rem := victim.remaining(b.state)
 		start := rem[0]
 		n := 1
-		for n < len(rem) && n < max && rem[n] == start+n {
+		for n < len(rem) && n < b.chunk && rem[n] == start+n {
 			n++
 		}
 		victim.stolen = true
@@ -338,14 +329,6 @@ func (b *Board) Status() Status {
 		}
 	}
 	return st
-}
-
-// Index resolves a job's global index (-1 when unknown).
-func (b *Board) Index(ref core.JobRef) int {
-	if i, ok := b.index[ref]; ok {
-		return i
-	}
-	return -1
 }
 
 // RejectWorker counts a worker turned away for a digest mismatch.

@@ -22,8 +22,6 @@ import (
 type LeaseRequest struct {
 	Worker string `json:"worker"`
 	Digest string `json:"digest"`
-	// Max caps the granted range (0 = coordinator's chunk size).
-	Max int `json:"max,omitempty"`
 }
 
 // LeaseResponse grants a contiguous job-range [Start, Start+Count). A zero
@@ -152,7 +150,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			req.Worker, req.Digest, c.digest)})
 		return
 	}
-	id, start, count, done := c.board.Lease(req.Worker, req.Max)
+	id, start, count, done := c.board.Lease(req.Worker)
 	resp := LeaseResponse{LeaseID: id, Start: start, Count: count, Done: done}
 	if count > 0 {
 		resp.HeartbeatMs = c.board.ttl.Milliseconds() / 3

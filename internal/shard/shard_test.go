@@ -58,15 +58,15 @@ func newTestBoard(t *testing.T, n int, o BoardOptions) (*Board, *core.Checkpoint
 
 func TestLeaseGrantsContiguousRanges(t *testing.T) {
 	b, _ := newTestBoard(t, 10, BoardOptions{ChunkSize: 4})
-	id1, start1, count1, done := b.Lease("w1", 0)
+	id1, start1, count1, done := b.Lease("w1")
 	if done || start1 != 0 || count1 != 4 || id1 == 0 {
 		t.Fatalf("first lease = (%d, %d, %d, %v), want (id, 0, 4, false)", id1, start1, count1, done)
 	}
-	_, start2, count2, _ := b.Lease("w2", 0)
+	_, start2, count2, _ := b.Lease("w2")
 	if start2 != 4 || count2 != 4 {
 		t.Fatalf("second lease = [%d,%d), want [4,8)", start2, start2+count2)
 	}
-	_, start3, count3, _ := b.Lease("w1", 0)
+	_, start3, count3, _ := b.Lease("w1")
 	if start3 != 8 || count3 != 2 {
 		t.Fatalf("third lease = [%d,%d), want [8,10)", start3, start3+count3)
 	}
@@ -76,7 +76,7 @@ func TestLeaseExpiryRedispatchesRange(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	b, _ := newTestBoard(t, 4, BoardOptions{ChunkSize: 4, TTL: 10 * time.Second, Now: clk.now})
 
-	id1, _, _, _ := b.Lease("w1", 0)
+	id1, _, _, _ := b.Lease("w1")
 	// Heartbeats keep the lease alive across the TTL boundary.
 	clk.advance(8 * time.Second)
 	if !b.Heartbeat(id1) {
@@ -89,7 +89,7 @@ func TestLeaseExpiryRedispatchesRange(t *testing.T) {
 	// Silence past the TTL reaps it: the range goes back to pending and the
 	// next lease re-dispatches it as fresh work (not a steal).
 	clk.advance(11 * time.Second)
-	_, start, count, done := b.Lease("w2", 0)
+	_, start, count, done := b.Lease("w2")
 	if done || start != 0 || count != 4 {
 		t.Fatalf("post-expiry lease = [%d,%d) done %v, want [0,4) false", start, start+count, done)
 	}
@@ -105,7 +105,7 @@ func TestStealStragglerRemainder(t *testing.T) {
 	b, _ := newTestBoard(t, 4, BoardOptions{ChunkSize: 4, TTL: time.Hour})
 	jobs := testJobs(4)
 
-	id1, _, _, _ := b.Lease("w1", 0)
+	id1, _, _, _ := b.Lease("w1")
 	// The straggler finishes jobs 0 and 1; 2 and 3 are still in flight.
 	for i := 0; i < 2; i++ {
 		if err := b.Complete(id1, i, recordFor(jobs[i], 1)); err != nil {
@@ -113,13 +113,13 @@ func TestStealStragglerRemainder(t *testing.T) {
 		}
 	}
 	// An idle worker steals the uncompleted remainder [2,4).
-	id2, start, count, done := b.Lease("w2", 0)
+	id2, start, count, done := b.Lease("w2")
 	if done || start != 2 || count != 2 {
 		t.Fatalf("steal = [%d,%d) done %v, want [2,4) false", start, start+count, done)
 	}
 	// Duplication is bounded: the victim is marked stolen and the thief's
 	// lease is itself never a victim, so a third worker gets nothing.
-	if _, _, count, done := b.Lease("w3", 0); count != 0 || done {
+	if _, _, count, done := b.Lease("w3"); count != 0 || done {
 		t.Fatalf("second steal of same range = count %d done %v, want 0 false", count, done)
 	}
 	// Thief completes job 2, straggler completes job 3: both accepted,
@@ -143,7 +143,7 @@ func TestStealStragglerRemainder(t *testing.T) {
 func TestDuplicateCompletionFirstWins(t *testing.T) {
 	b, journal := newTestBoard(t, 2, BoardOptions{ChunkSize: 2, TTL: time.Hour})
 	jobs := testJobs(2)
-	id1, _, _, _ := b.Lease("w1", 0)
+	id1, _, _, _ := b.Lease("w1")
 
 	first := recordFor(jobs[0], 1)
 	if err := b.Complete(id1, 0, first); err != nil {
@@ -171,7 +171,7 @@ func TestDuplicateCompletionFirstWins(t *testing.T) {
 
 func TestCompleteValidatesCoordinates(t *testing.T) {
 	b, _ := newTestBoard(t, 2, BoardOptions{ChunkSize: 2})
-	id1, _, _, _ := b.Lease("w1", 0)
+	id1, _, _, _ := b.Lease("w1")
 	if err := b.Complete(id1, 5, recordFor(testJobs(6)[5], 1)); err == nil {
 		t.Fatal("out-of-range index accepted")
 	}
@@ -195,7 +195,7 @@ func TestResumeMarksJournaledJobsDone(t *testing.T) {
 	default:
 		t.Fatal("fully journaled board not done at construction")
 	}
-	if _, _, count, done := b.Lease("w1", 0); count != 0 || !done {
+	if _, _, count, done := b.Lease("w1"); count != 0 || !done {
 		t.Fatalf("lease on done board = count %d done %v, want 0 true", count, done)
 	}
 }
